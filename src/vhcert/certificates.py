@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from vhcert import corpus
 from vhcert.complexes import (
@@ -32,10 +33,12 @@ from vhcert.complexes import (
 from vhcert.fpgroups import index4_hom, presentation_from_complex
 from vhcert.local_actions import local_group
 from vhcert.permgroups import (
+    SIMPLICITY_BOUND,
+    PermGroup,
     is_k_transitive,
-    is_whitelisted_nonabelian_simple,
     point_stabilizer,
     recognize,
+    recognized_simplicity,
 )
 from vhcert.todd_coxeter import (
     EnumerationExhausted,
@@ -89,19 +92,67 @@ class Certificate:
         return json.dumps(self.as_dict(), indent=2)
 
 
+class Analysis:
+    """The facts about one complex that the certificate steps share.
+
+    Each fact is computed at most once, on first use: the link report,
+    the presentation, the parity homomorphism, the local groups keyed by
+    (side, depth), the recognition of each group, and the irreducibility
+    step that the normal subgroup theorem step builds on.
+    """
+
+    def __init__(self, c: SquareComplex):
+        self.complex = c
+        self._groups = {}
+        self._names = {}
+
+    @classmethod
+    def of(cls, c) -> "Analysis":
+        """``c`` itself if it is an Analysis, else a new one of complex ``c``."""
+        return c if isinstance(c, cls) else cls(c)
+
+    @cached_property
+    def link(self):
+        return check_link(self.complex)
+
+    @cached_property
+    def presentation(self):
+        return presentation_from_complex(self.complex)
+
+    @cached_property
+    def parity(self):
+        return index4_hom(self.presentation)
+
+    @cached_property
+    def irreducibility(self) -> Step:
+        return irreducibility_check(self)
+
+    def local_group(self, side: str, depth: int) -> PermGroup:
+        if (side, depth) not in self._groups:
+            self._groups[side, depth] = local_group(self.complex, side, depth)
+        return self._groups[side, depth]
+
+    def recognize(self, group: PermGroup) -> str:
+        if group not in self._names:
+            self._names[group] = recognize(group)
+        return self._names[group]
+
+
 def _alt_order(d: int) -> int:
     return math.factorial(d) // 2
 
 
-def irreducibility_check(c: SquareComplex) -> Step:
+def irreducibility_check(c: Analysis | SquareComplex) -> Step:
     """Order criterion: with P_v^(1) the full alternating group Alt(2n),
     n >= 3, the lattice is irreducible iff
     |P_v^(2)| = |Alt(2n)| * |Alt(2n-1)|^(2n)."""
+    a = Analysis.of(c)
+    c = a.complex
     citation = (
         "Burger-Mozes irreducibility criterion via the order of the "
         "depth-2 vertical local group"
     )
-    if not check_link(c).ok:
+    if not a.link.ok:
         return Step(
             "irreducibility", INAPPLICABLE,
             {"reason": "link condition fails"}, citation,
@@ -113,8 +164,8 @@ def irreducibility_check(c: SquareComplex) -> Step:
             {"reason": f"criterion requires n >= 3, complex has n = {c.n}"},
             citation,
         )
-    depth1 = local_group(c, "v", 1)
-    name = recognize(depth1)
+    depth1 = a.local_group("v", 1)
+    name = a.recognize(depth1)
     values = {
         "vertical_valence": valence,
         "depth1_order": depth1.order,
@@ -124,39 +175,40 @@ def irreducibility_check(c: SquareComplex) -> Step:
         values["reason"] = f"criterion requires P_v^(1) = Alt({valence})"
         return Step("irreducibility", INAPPLICABLE, values, citation)
     target = _alt_order(valence) * _alt_order(valence - 1) ** valence
-    depth2 = local_group(c, "v", 2)
+    depth2 = a.local_group("v", 2)
     values["depth2_order"] = depth2.order
     values["target_order"] = target
     verdict = PASS if depth2.order == target else FAIL
     return Step("irreducibility", verdict, values, citation)
 
 
-def nst_check(c: SquareComplex, irreducibility: Step | None = None) -> Step:
+def nst_check(c: Analysis | SquareComplex) -> Step:
     """Hypotheses of the normal subgroup theorem: irreducible, both
     depth-1 local groups 2-transitive, both point stabilizers nonabelian
     finite simple.  On pass, every nontrivial normal subgroup of the
     complex's group has finite index."""
+    a = Analysis.of(c)
     citation = "Burger-Mozes normal subgroup theorem"
-    if not check_link(c).ok:
+    if not a.link.ok:
         return Step(
             "normal_subgroup_theorem", INAPPLICABLE,
             {"reason": "link condition fails"}, citation,
         )
-    if irreducibility is None:
-        irreducibility = irreducibility_check(c)
+    irreducibility = a.irreducibility
     values = {"irreducibility": irreducibility.verdict}
     failures = []
     unknowns = []
     for side, label in (("h", "horizontal"), ("v", "vertical")):
-        group = local_group(c, side, 1)
+        group = a.local_group(side, 1)
         stab = point_stabilizer(group, 0)
-        simple = is_whitelisted_nonabelian_simple(stab)
+        stab_name = recognize(stab)
+        simple = recognized_simplicity(stab, stab_name, SIMPLICITY_BOUND)
         transitive = is_k_transitive(group, 2)
         values[f"{label}_order"] = group.order
-        values[f"{label}_recognition"] = recognize(group)
+        values[f"{label}_recognition"] = a.recognize(group)
         values[f"{label}_2transitive"] = transitive
         values[f"{label}_stabilizer_order"] = stab.order
-        values[f"{label}_stabilizer_recognition"] = recognize(stab)
+        values[f"{label}_stabilizer_recognition"] = stab_name
         values[f"{label}_stabilizer_nonabelian_simple"] = simple
         if not transitive:
             failures.append(f"{label} depth-1 group is not 2-transitive")
@@ -224,7 +276,7 @@ DEFAULT_WITNESS_SOURCE = (
 
 
 def simplicity_certificate(
-    c: SquareComplex,
+    c: Analysis | SquareComplex,
     word,
     assume_nrf: bool = False,
     cap: int = 10**6,
@@ -243,7 +295,9 @@ def simplicity_certificate(
     ``assume_nrf`` acknowledges the external non-residual-finiteness
     theorem for that subcomplex.
     """
-    p = presentation_from_complex(c)
+    a = Analysis.of(c)
+    c = a.complex
+    p = a.presentation
     if isinstance(word, str):
         word = p.parse_word(word)
     word_text = p.word_to_string(word)
@@ -256,7 +310,7 @@ def simplicity_certificate(
 
     steps = []
 
-    link = check_link(c)
+    link = a.link
     steps.append(Step(
         "link_condition",
         PASS if link.ok else FAIL,
@@ -327,8 +381,8 @@ def simplicity_certificate(
         ))
 
     if link.ok:
-        irr = irreducibility_check(c)
-        nst = nst_check(c, irr)
+        irr = a.irreducibility
+        nst = nst_check(a)
     else:
         irr = Step("irreducibility", SKIPPED, {"reason": "link condition fails"},
                    "Burger-Mozes irreducibility criterion")
@@ -366,7 +420,7 @@ def simplicity_certificate(
         "an index-4 normal subgroup containing a normal closure of index 4 equals it"
     )
     identified = False
-    in_kernel = index4_hom(p).in_kernel(word)
+    in_kernel = a.parity.in_kernel(word)
     if index is None:
         steps.append(Step("parity_kernel_identification", SKIPPED,
                           {"reason": "normal closure index unavailable"},

@@ -13,31 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from vhcert.certificates import (
     FAIL,
     PASS,
     UNKNOWN,
+    Analysis,
     amalgam_ranks,
-    irreducibility_check,
     nst_check,
     simplicity_certificate,
 )
-from vhcert.complexes import (
-    ComplexError,
-    Letter,
-    check_link,
-    euler_characteristic,
-    parse_complex,
-)
-from vhcert.fpgroups import (
-    WordError,
-    abelianization,
-    presentation_from_complex,
-)
-from vhcert.local_actions import local_group, sphere_action
-from vhcert.permgroups import recognize
+from vhcert.complexes import ComplexError, euler_characteristic, parse_complex
+from vhcert.fpgroups import WordError, abelianization
+from vhcert.local_actions import DEFAULT_MAX_DEPTH
 from vhcert.reidemeister_schreier import (
     is_perfect,
     subgroup_presentation,
@@ -61,29 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one invocation (one run per process)."""
-
-    command: str
-    path: str | None = None
-    word: str | None = None
-    depth: int = 1
-    side: str | None = None
-    cap: int = 10**6
-    strategy: str = "hlt"
-    simplicity_bound: int = 100_000
-    budget: int = 10_000
-    as_json: bool = False
-    assume_nrf: bool = False
-    m: int = 0
-    n: int = 0
-    seed: int = 0  # placeholder; nothing in the pipeline is randomized
-
-
-def _load(path: str):
+def _load(path: str) -> Analysis:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_complex(handle.read())
+        return Analysis(parse_complex(handle.read()))
 
 
 def _emit(report: dict, as_json: bool, text_lines) -> None:
@@ -94,145 +62,116 @@ def _emit(report: dict, as_json: bool, text_lines) -> None:
             print(line)
 
 
-def _require_word(p, text: str):
-    if text is None:
-        raise WordError("this subcommand requires --word")
-    return p.parse_word(text)
-
-
-def cmd_check_link(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    report_obj = check_link(c)
+def cmd_check_link(args, a: Analysis) -> int:
+    c, link = a.complex, a.link
     report = {
         "complex": c.name,
         "m": c.m,
         "n": c.n,
         "squares": len(c.squares),
-        "ok": report_obj.ok,
-        "corners_covered": report_obj.corners_covered,
-        "corners_expected": report_obj.total_corners,
+        "ok": link.ok,
+        "corners_covered": link.corners_covered,
+        "corners_expected": link.total_corners,
         "missing_corners": [
-            [c.letter_name(a), c.letter_name(b)] for a, b in report_obj.missing_corners
+            [c.letter_name(x), c.letter_name(y)] for x, y in link.missing_corners
         ],
         "duplicate_corners": [
-            [c.letter_name(a), c.letter_name(b)]
-            for (a, b), _ in report_obj.duplicate_corners
+            [c.letter_name(x), c.letter_name(y)]
+            for (x, y), _ in link.duplicate_corners
         ],
     }
     lines = [
         f"{report['corners_covered']}/{report['corners_expected']} corners",
-        "link condition holds" if report_obj.ok else "link condition FAILS",
+        "link condition holds" if link.ok else "link condition FAILS",
     ]
-    for a, b in report["missing_corners"]:
-        lines.append(f"missing corner ({a}, {b})")
-    for a, b in report["duplicate_corners"]:
-        lines.append(f"duplicated corner ({a}, {b})")
-    _emit(report, cfg.as_json, lines)
-    return EXIT_OK if report_obj.ok else EXIT_FAIL
+    for x, y in report["missing_corners"]:
+        lines.append(f"missing corner ({x}, {y})")
+    for x, y in report["duplicate_corners"]:
+        lines.append(f"duplicated corner ({x}, {y})")
+    _emit(report, args.as_json, lines)
+    return EXIT_OK if link.ok else EXIT_FAIL
 
 
-def cmd_euler(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    if not check_link(c).ok:
-        _emit({"complex": c.name, "error": "link condition fails"},
-              cfg.as_json, ["link condition fails"])
+def cmd_euler(args, a: Analysis) -> int:
+    if not a.link.ok:
+        _emit({"complex": a.complex.name, "error": "link condition fails"},
+              args.as_json, ["link condition fails"])
         return EXIT_FAIL
-    chi = euler_characteristic(c)
-    _emit({"complex": c.name, "euler_characteristic": chi}, cfg.as_json,
+    chi = euler_characteristic(a.complex)
+    _emit({"complex": a.complex.name, "euler_characteristic": chi}, args.as_json,
           [f"euler characteristic: {chi}"])
     return EXIT_OK
 
 
-def cmd_local(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    if not check_link(c).ok:
-        _emit({"complex": c.name, "error": "link condition fails"},
-              cfg.as_json, ["link condition fails"])
+def cmd_local(args, a: Analysis) -> int:
+    if not a.link.ok:
+        _emit({"complex": a.complex.name, "error": "link condition fails"},
+              args.as_json, ["link condition fails"])
         return EXIT_FAIL
-    sides = [cfg.side] if cfg.side else ["h", "v"]
-    report = {"complex": c.name, "depth": cfg.depth, "groups": []}
+    c = a.complex
+    sides = [args.side] if args.side else ["h", "v"]
+    report = {"complex": c.name, "depth": args.depth, "groups": []}
     lines = []
     for side in sides:
-        group = local_group(c, side, cfg.depth)
-        actor_side = "v" if side == "h" else "h"
-        count = c.n if side == "h" else c.m
-        gens = []
-        for i in range(count):
-            actor = Letter(actor_side, i + 1)
-            perm = sphere_action(c, actor, cfg.depth)
-            gens.append({"actor": c.letter_name(actor), "cycles": perm.cycle_string()})
+        group = a.local_group(side, args.depth)
+        actors = c.vnames if side == "h" else c.hnames
+        gens = [
+            {"actor": actor, "cycles": perm.cycle_string()}
+            for actor, perm in zip(actors, group.generators)
+        ]
         entry = {
             "side": side,
             "degree": group.degree,
             "order": group.order,
-            "recognition": recognize(group),
+            "recognition": a.recognize(group),
             "generators": gens,
         }
         report["groups"].append(entry)
         lines.append(
-            f"P_{side}^({cfg.depth}): degree {group.degree}, order {group.order}, "
+            f"P_{side}^({args.depth}): degree {group.degree}, order {group.order}, "
             f"{entry['recognition']}"
         )
         lines += [f"  {g['actor']}: {g['cycles']}" for g in gens]
-    _emit(report, cfg.as_json, lines)
+    _emit(report, args.as_json, lines)
     return EXIT_OK
 
 
-def cmd_irreducible(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    step = irreducibility_check(c)
-    report = {"complex": c.name, **step.as_dict()}
-    _emit(report, cfg.as_json, [f"irreducibility: {step.verdict}"] + [
+def _emit_step(args, a: Analysis, step, title: str) -> int:
+    report = {"complex": a.complex.name, **step.as_dict()}
+    _emit(report, args.as_json, [f"{title}: {step.verdict}"] + [
         f"  {k}: {v}" for k, v in step.values.items()
     ])
     return EXIT_OK if step.verdict == PASS else EXIT_FAIL
 
 
-def cmd_nst(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    step = nst_check(c)
-    report = {"complex": c.name, **step.as_dict()}
-    _emit(report, cfg.as_json, [f"normal subgroup theorem hypotheses: {step.verdict}"] + [
-        f"  {k}: {v}" for k, v in step.values.items()
-    ])
-    return EXIT_OK if step.verdict == PASS else EXIT_FAIL
+def cmd_irreducible(args, a: Analysis) -> int:
+    return _emit_step(args, a, a.irreducibility, "irreducibility")
 
 
-def cmd_closure_index(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    p = presentation_from_complex(c)
-    word = _require_word(p, cfg.word)
-    try:
-        table = normal_closure_table(p, word, cap=cfg.cap, strategy=cfg.strategy)
-    except EnumerationExhausted:
-        _emit({"complex": c.name, "word": cfg.word, "verdict": UNKNOWN,
-               "coset_cap": cfg.cap},
-              cfg.as_json,
-              [f"exhausted: no closure within {cfg.cap} cosets (index unknown)"])
-        return EXIT_EXHAUSTED
-    report = {"complex": c.name, "word": p.word_to_string(word),
+def cmd_nst(args, a: Analysis) -> int:
+    return _emit_step(args, a, nst_check(a), "normal subgroup theorem hypotheses")
+
+
+def cmd_closure_index(args, a: Analysis) -> int:
+    p = a.presentation
+    word = p.parse_word(args.word)
+    table = normal_closure_table(p, word, cap=args.cap, strategy=args.strategy)
+    report = {"complex": a.complex.name, "word": p.word_to_string(word),
               "index": table.index, **table.summary()}
-    _emit(report, cfg.as_json,
+    _emit(report, args.as_json,
           [f"normal closure index: {table.index}",
            f"strategy {table.strategy}: max live {table.max_live}, "
            f"defined {table.total_defined}"])
     return EXIT_OK
 
 
-def cmd_quotient(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    p = presentation_from_complex(c)
-    word = _require_word(p, cfg.word)
-    try:
-        table = normal_closure_table(p, word, cap=cfg.cap, strategy=cfg.strategy)
-    except EnumerationExhausted:
-        _emit({"complex": c.name, "word": cfg.word, "verdict": UNKNOWN,
-               "coset_cap": cfg.cap},
-              cfg.as_json, [f"exhausted at cap {cfg.cap} (order unknown)"])
-        return EXIT_EXHAUSTED
+def cmd_quotient(args, a: Analysis) -> int:
+    p = a.presentation
+    word = p.parse_word(args.word)
+    table = normal_closure_table(p, word, cap=args.cap, strategy=args.strategy)
     q = quotient_structure(table)
     report = {
-        "complex": c.name,
+        "complex": a.complex.name,
         "word": p.word_to_string(word),
         "order": q.order,
         "abelian": q.abelian,
@@ -241,43 +180,36 @@ def cmd_quotient(cfg: RunConfig) -> int:
     lines = [f"quotient order: {q.order}",
              f"abelian: {q.abelian}"
              + (f", invariants {report['invariants']}" if q.abelian else "")]
-    _emit(report, cfg.as_json, lines)
+    _emit(report, args.as_json, lines)
     return EXIT_OK
 
 
-def cmd_abelianize(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    inv = abelianization(presentation_from_complex(c))
-    report = {"complex": c.name, "free_rank": inv.free_rank,
+def cmd_abelianize(args, a: Analysis) -> int:
+    inv = abelianization(a.presentation)
+    report = {"complex": a.complex.name, "free_rank": inv.free_rank,
               "torsion": list(inv.torsion)}
-    _emit(report, cfg.as_json,
+    _emit(report, args.as_json,
           [f"abelianization: {inv} (free rank {inv.free_rank}, "
            f"torsion {list(inv.torsion)})"])
     return EXIT_OK
 
 
-def _subgroup_table(cfg: RunConfig, p):
+def _subgroup_table(args, p):
     """Coset table for rs/simplify: the parity kernel by default, or the
     normal closure of --word when given."""
-    if cfg.word is None:
+    if args.word is None:
         return parity_kernel_table(p), "parity kernel"
-    word = p.parse_word(cfg.word)
-    table = normal_closure_table(p, word, cap=cfg.cap, strategy=cfg.strategy)
+    word = p.parse_word(args.word)
+    table = normal_closure_table(p, word, cap=args.cap, strategy=args.strategy)
     return table, f"normal closure of {p.word_to_string(word)}"
 
 
-def cmd_rs(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    p = presentation_from_complex(c)
-    try:
-        table, label = _subgroup_table(cfg, p)
-    except EnumerationExhausted:
-        _emit({"complex": c.name, "verdict": UNKNOWN, "coset_cap": cfg.cap},
-              cfg.as_json, [f"exhausted at cap {cfg.cap}"])
-        return EXIT_EXHAUSTED
+def cmd_rs(args, a: Analysis) -> int:
+    p = a.presentation
+    table, label = _subgroup_table(args, p)
     sub = subgroup_presentation(p, table)
     report = {
-        "complex": c.name,
+        "complex": a.complex.name,
         "subgroup": label,
         "index": table.index,
         "generators": len(sub.generators),
@@ -286,7 +218,7 @@ def cmd_rs(cfg: RunConfig) -> int:
         "perfect": is_perfect(sub),
         "presentation": str(sub),
     }
-    _emit(report, cfg.as_json, [
+    _emit(report, args.as_json, [
         f"subgroup: {label} (index {table.index})",
         f"presentation: {report['generators']} generators, "
         f"{report['relators']} relators, total length {report['total_length']}",
@@ -295,19 +227,13 @@ def cmd_rs(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simplify(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    p = presentation_from_complex(c)
-    try:
-        table, label = _subgroup_table(cfg, p)
-    except EnumerationExhausted:
-        _emit({"complex": c.name, "verdict": UNKNOWN, "coset_cap": cfg.cap},
-              cfg.as_json, [f"exhausted at cap {cfg.cap}"])
-        return EXIT_EXHAUSTED
+def cmd_simplify(args, a: Analysis) -> int:
+    p = a.presentation
+    table, label = _subgroup_table(args, p)
     sub = subgroup_presentation(p, table)
-    simplified = tietze_simplify(sub, total_length_budget=cfg.budget)
+    simplified = tietze_simplify(sub, total_length_budget=args.budget)
     report = {
-        "complex": c.name,
+        "complex": a.complex.name,
         "subgroup": label,
         "raw": {"generators": len(sub.generators), "relators": len(sub.relators),
                 "total_length": sub.total_length()},
@@ -318,7 +244,7 @@ def cmd_simplify(cfg: RunConfig) -> int:
         "perfect": is_perfect(simplified),
         "presentation": str(simplified),
     }
-    _emit(report, cfg.as_json, [
+    _emit(report, args.as_json, [
         f"subgroup: {label} (index {table.index})",
         f"raw: {report['raw']['generators']} generators, "
         f"{report['raw']['relators']} relators",
@@ -330,11 +256,11 @@ def cmd_simplify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_amalgam(cfg: RunConfig) -> int:
-    s1, s2 = amalgam_ranks(cfg.m, cfg.n)
+def cmd_amalgam(args, _) -> int:
+    s1, s2 = amalgam_ranks(args.m, args.n)
     report = {
-        "m": cfg.m,
-        "n": cfg.n,
+        "m": args.m,
+        "n": args.n,
         "splittings": [
             {"vertex_rank": s.vertex_rank, "edge_rank": s.edge_rank,
              "edge_index": s.edge_index}
@@ -346,16 +272,13 @@ def cmd_amalgam(cfg: RunConfig) -> int:
         f"  (edge group of index {s.edge_index})"
         for s in (s1, s2)
     ]
-    _emit(report, cfg.as_json, lines)
+    _emit(report, args.as_json, lines)
     return EXIT_OK
 
 
-def cmd_simple_cert(cfg: RunConfig) -> int:
-    c = _load(cfg.path)
-    p = presentation_from_complex(c)
-    word = _require_word(p, cfg.word)
+def cmd_simple_cert(args, a: Analysis) -> int:
     cert = simplicity_certificate(
-        c, word, assume_nrf=cfg.assume_nrf, cap=cfg.cap, strategy=cfg.strategy
+        a, args.word, assume_nrf=args.assume_nrf, cap=args.cap, strategy=args.strategy
     )
     report = cert.as_dict()
     lines = [f"certificate for {cert.complex_name}, word {cert.word}"]
@@ -363,7 +286,7 @@ def cmd_simple_cert(cfg: RunConfig) -> int:
         lines.append(f"  {step.name}: {step.verdict}")
     lines.append(f"assumption acknowledged: {cert.assumptions[0]['acknowledged']}")
     lines.append(f"conclusion: {cert.conclusion}")
-    _emit(report, cfg.as_json, lines)
+    _emit(report, args.as_json, lines)
     verdicts = [s.verdict for s in cert.steps]
     if FAIL in verdicts:
         return EXIT_FAIL
@@ -392,13 +315,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vhcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_path=True, word=False, cap=False):
+    def add(name, help_text, needs_path=True, word=None, cap=False):
+        # word: None for no --word option, else whether --word is required
         p = sub.add_parser(name, help=help_text)
         if needs_path:
             p.add_argument("path", help="complex file (.vh)")
-        if word:
-            p.add_argument("--word", help="word over the complex generators, "
-                                          "e.g. a2*a1^-1*a3*a4^-1")
+        if word is not None:
+            p.add_argument("--word", required=word,
+                           help="word over the complex generators, "
+                                "e.g. a2*a1^-1*a3*a4^-1")
         if cap:
             p.add_argument("--cap", type=int, default=10**6,
                            help="coset cap (default 1000000)")
@@ -411,7 +336,8 @@ def build_parser() -> _Parser:
     add("euler", "Euler characteristic of a link-valid complex")
     p = add("local", "local groups on tree spheres")
     p.add_argument("--side", choices=("h", "v"))
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=int, default=1,
+                   choices=range(1, DEFAULT_MAX_DEPTH + 1))
     add("irreducible", "irreducibility via the depth-2 order criterion")
     add("nst", "normal subgroup theorem hypotheses")
     add("closure-index", "index of the normal closure of a word",
@@ -419,10 +345,10 @@ def build_parser() -> _Parser:
     add("quotient", "structure of the quotient by a normal closure",
         word=True, cap=True)
     add("abelianize", "abelian invariants of the complex's group")
-    p = add("rs", "subgroup presentation (parity kernel, or --word closure)",
-            word=True, cap=True)
+    add("rs", "subgroup presentation (parity kernel, or --word closure)",
+        word=False, cap=True)
     p = add("simplify", "rs followed by Tietze simplification",
-            word=True, cap=True)
+            word=False, cap=True)
     p.add_argument("--budget", type=int, default=10_000,
                    help="total relator length budget (default 10000)")
     p = add("amalgam", "free-amalgam splitting ranks for given m, n",
@@ -439,19 +365,21 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    for name in ("path", "word", "depth", "side", "cap", "strategy", "budget",
-                 "as_json", "assume_nrf", "m", "n"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if cfg.cap < 1 or cfg.budget < 1:
+    if getattr(args, "cap", 1) < 1 or getattr(args, "budget", 1) < 1:
         parser.error("caps and budgets must be positive")
     try:
-        return _COMMANDS[cfg.command](cfg)
+        analysis = _load(args.path) if "path" in args else None
+        return _COMMANDS[args.command](args, analysis)
+    except EnumerationExhausted as exc:
+        _emit({"complex": analysis.complex.name, "verdict": UNKNOWN,
+               "coset_cap": exc.cap},
+              args.as_json,
+              [f"exhausted: no closure within {exc.cap} cosets (result unknown)"])
+        return EXIT_EXHAUSTED
     except (ComplexError, WordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,6 +18,7 @@ a horizontal and b vertical must occur in exactly one square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 HORIZONTAL = "h"
@@ -156,8 +157,10 @@ class SquareComplex:
     def square_text(self, sq: Square) -> str:
         return " ".join(self.letter_name(x) for x in sq)
 
+    @cached_property
     def corner_entries(self):
-        """Map corner (a, b) -> list of (partner, source square)."""
+        """Map corner (a, b) -> list of (partner, source square), built
+        once per complex; check_link and corner_partner both read it."""
         entries = {}
         for sq in self.squares:
             for corner, partner in sq.corners():
@@ -170,7 +173,7 @@ class SquareComplex:
         Raises LinkError when the corner is missing or ambiguous, which is
         how a link violation surfaces lazily.
         """
-        hits = self.corner_entries().get((a, b), [])
+        hits = self.corner_entries.get((a, b), [])
         if len(hits) != 1:
             raise LinkError(
                 f"corner ({a!r}, {b!r}) occurs in {len(hits)} squares, expected 1"
@@ -180,7 +183,7 @@ class SquareComplex:
 
 def check_link(c: SquareComplex) -> LinkReport:
     """Exact-cover check: every (a, b) in A x B in exactly one square."""
-    entries = c.corner_entries()
+    entries = c.corner_entries
     missing = []
     duplicates = []
     for a in c.horizontal_letters():

@@ -12,7 +12,6 @@ horizontal side by b_1..b_n, acting on reduced words of the other side).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from vhcert.complexes import HORIZONTAL, VERTICAL, Letter, SquareComplex
 from vhcert.permgroups import PermGroup, Permutation, bsgs_build
@@ -73,17 +72,6 @@ def local_perm(c: SquareComplex, x: Letter) -> LocalPerm:
     return horizontal_local_perm(c, x)
 
 
-@lru_cache(maxsize=None)
-def _profile(c: SquareComplex):
-    """All 2m + 2n depth-1 actions of a complex, keyed by actor."""
-    table = {}
-    for a in c.horizontal_letters():
-        table[a] = vertical_local_perm(c, a)
-    for b in c.vertical_letters():
-        table[b] = horizontal_local_perm(c, b)
-    return table
-
-
 class SphereIndex:
     """Ordered enumeration of the reduced words x1..xk over one side.
 
@@ -91,14 +79,20 @@ class SphereIndex:
     letters ascending (b1 < b2 < ... < b1^-1 < ...), which fixes the point
     labels of every printed sphere permutation.  A custom letter order may
     be supplied to check that generated-group invariants do not depend on
-    the labelling.
+    the labelling.  ``actions`` holds the depth-1 action of every letter
+    of the other side, from which each sphere_action on this sphere is
+    computed; it is built once per sphere.
     """
 
     def __init__(self, c: SquareComplex, side: str, depth: int, letters=None):
         if depth < 1:
             raise ValueError("sphere depth must be >= 1")
+        own, other = c.horizontal_letters(), c.vertical_letters()
+        if side == VERTICAL:
+            own, other = other, own
         if letters is None:
-            letters = c.horizontal_letters() if side == HORIZONTAL else c.vertical_letters()
+            letters = own
+        self.actions = {x: local_perm(c, x) for x in other}
         self.side = side
         self.depth = depth
         self.letters = tuple(letters)
@@ -133,12 +127,11 @@ def sphere_action(
     opposite = VERTICAL if x.side == HORIZONTAL else HORIZONTAL
     if sphere is None:
         sphere = SphereIndex(c, opposite, depth)
-    profile = _profile(c)
 
     def act(actor, word):
         if not word:
             return ()
-        lp = profile[actor]
+        lp = sphere.actions[actor]
         return (lp.depth1[word[0]],) + act(lp.residual[word[0]], word[1:])
 
     images = []

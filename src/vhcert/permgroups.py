@@ -475,7 +475,11 @@ def normal_closure(group: PermGroup, element: Permutation) -> PermGroup:
             return closed
 
 
-def brute_simplicity(group: PermGroup, bound: int = 100_000):
+# Largest order the brute-force simplicity check will enumerate.
+SIMPLICITY_BOUND = 100_000
+
+
+def brute_simplicity(group: PermGroup, bound: int = SIMPLICITY_BOUND):
     """Exhaustive simplicity check for groups of order at most ``bound``.
 
     Returns ('simple', None), ('not_simple', witness) with the witness an
@@ -493,16 +497,20 @@ def brute_simplicity(group: PermGroup, bound: int = 100_000):
     return "simple", None
 
 
-def is_whitelisted_nonabelian_simple(group: PermGroup, bound: int = 100_000):
+def is_whitelisted_nonabelian_simple(group: PermGroup, bound: int = SIMPLICITY_BOUND):
     """True / False / None ('unknown') nonabelian-simplicity verdict.
 
     Recognition covers Alt(d) for d >= 5, M11 and M12; abelian groups are
     rejected directly; anything else falls back to the brute-force check
     when the order fits under ``bound`` and is otherwise undecided (None).
     """
+    return recognized_simplicity(group, recognize(group), bound)
+
+
+def recognized_simplicity(group: PermGroup, name: str, bound: int):
+    """The same verdict for a group that ``recognize`` already named."""
     if group.is_abelian():
         return False
-    name = recognize(group)
     if name in ("M11", "M12"):
         return True
     match = re.fullmatch(r"Alt\((\d+)\)", name)

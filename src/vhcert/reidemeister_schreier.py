@@ -53,22 +53,15 @@ def schreier_transversal(table: CosetTable) -> Transversal:
     return Transversal(tuple(_transversal_words(table)))
 
 
-def _tree_entries(table: CosetTable):
-    """Positive-generator table entries realized by spanning-tree edges."""
-    reps = {0: ()}
-    order = [0]
+def _tree_edges(table: CosetTable, reps):
+    """Positive-generator table entries (coset, g) realized by the edges of
+    the spanning tree behind the breadth-first representatives ``reps``:
+    the last letter of each representative is the edge that reached it."""
     tree = set()
-    for alpha in order:
-        for col in range(table.ncols):
-            beta = table.table[alpha][col]
-            if beta not in reps:
-                reps[beta] = None
-                order.append(beta)
-                gen, inverted = divmod(col, 2)
-                if inverted:
-                    tree.add((beta, gen))  # discovered through g^-1: edge beta --g--> alpha
-                else:
-                    tree.add((alpha, gen))
+    for beta, word in enumerate(reps[1:], start=1):
+        g, e = word[-1]
+        # reached through g from table[beta][g^-1], or through g^-1 from beta
+        tree.add((table.table[beta][2 * g + 1], g) if e > 0 else (beta, g))
     return tree
 
 
@@ -84,7 +77,7 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
     if len(p.generators) * 2 != table.ncols:
         raise ValueError("presentation does not match the table")
     k = len(table.table)
-    tree = _tree_entries(table)
+    tree = _tree_edges(table, _transversal_words(table))
 
     gen_ids = {}
     names = []
@@ -126,7 +119,7 @@ def schreier_generator_words(p: Presentation, table: CosetTable):
     """The subgroup generators as words in the parent generators:
     rep(i) * x * rep(i^x)^-1 for each non-tree entry (i, x)."""
     reps = _transversal_words(table)
-    tree = _tree_entries(table)
+    tree = _tree_edges(table, reps)
     words = []
     for coset in range(len(table.table)):
         for g in range(len(p.generators)):

@@ -16,9 +16,27 @@ coset, and every subgroup generator must fix coset 0.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 
-from vhcert.fpgroups import Presentation, cyclic_reduce, index4_hom
+from vhcert.fpgroups import (
+    Presentation,
+    abelianization,
+    concat,
+    cyclic_reduce,
+    index4_hom,
+    invert_word,
+)
+
+
+class VerificationError(Exception):
+    """A closed table or quotient failed one of its exact checks."""
+
+
+def _check(condition: bool, message: str) -> None:
+    # Unlike assert, this check also runs under python -O.
+    if not condition:
+        raise VerificationError(message)
 
 
 class EnumerationExhausted(Exception):
@@ -266,7 +284,7 @@ class CosetTable:
                 if beta not in seen:
                     seen.add(beta)
                     order.append(beta)
-        assert len(order) == len(self.table), "closed table is disconnected"
+        _check(len(order) == len(self.table), "closed table is disconnected")
         rename = {old: new for new, old in enumerate(order)}
         table = [[None] * self.ncols for _ in order]
         for old, new in rename.items():
@@ -284,21 +302,21 @@ class CosetTable:
     def verify_closed(self) -> None:
         n = len(self.table)
         for row in self.table:
-            assert None not in row, "closed table has an undefined entry"
+            _check(None not in row, "closed table has an undefined entry")
         for col in range(self.ncols):
             column = [self.table[alpha][col] for alpha in range(n)]
-            assert sorted(column) == list(range(n)), "column is not a permutation"
+            _check(sorted(column) == list(range(n)), "column is not a permutation")
         for cols in self.relator_cols:
             for alpha in range(n):
                 coset = alpha
                 for col in cols:
                     coset = self.table[coset][col]
-                assert coset == alpha, "relator does not trace to identity"
+                _check(coset == alpha, "relator does not trace to identity")
         for cols in self.subgen_cols:
             coset = 0
             for col in cols:
                 coset = self.table[coset][col]
-            assert coset == 0, "subgroup generator moves coset 0"
+            _check(coset == 0, "subgroup generator moves coset 0")
 
     # -- reporting ----------------------------------------------------------
 
@@ -359,7 +377,17 @@ def parity_kernel_table(p: Presentation) -> CosetTable:
     hom = index4_hom(p)
     order = [(0, 0), (1, 0), (0, 1), (1, 1)]
     position = {pair: i for i, pair in enumerate(order)}
-    t = CosetTable(p, ())
+    # Schreier generators of the kernel over the transversal 1, a, b, a*b
+    # (a, b the first generator of each side): like an enumerated table's,
+    # the subgroup generators generate the subgroup.
+    a = (hom.images.index((1, 0)), 1)
+    b = (hom.images.index((0, 1)), 1)
+    rep = {(0, 0): (), (1, 0): (a,), (0, 1): (b,), (1, 1): (a, b)}
+    subgens = [
+        concat(rep[x, y], ((g, 1),), invert_word(rep[(x + dx) % 2, (y + dy) % 2]))
+        for x, y in order for g, (dx, dy) in enumerate(hom.images)
+    ]
+    t = CosetTable(p, subgens)
     t.table = [[None] * t.ncols for _ in order]
     t.p = list(range(4))
     for (x, y), alpha in position.items():
@@ -398,76 +426,36 @@ class FiniteQuotient:
             self.table[i][j] == self.table[j][i]
             for i in range(n) for j in range(i + 1, n)
         )
-        self.invariants = self._abelian_invariants() if self.abelian else None
+        self.invariants = None
+        if self.abelian:
+            # The quotient is presented by the table's relators plus its
+            # subgroup generators; abelian, it equals its abelianization.
+            p = table.presentation
+            inv = abelianization(
+                Presentation.build(p.generators, p.relators + table.subgens)
+            )
+            _check(inv.free_rank == 0 and math.prod(inv.torsion) == n,
+                   "abelian invariants disagree with the quotient order")
+            self.invariants = inv
 
     def _verify(self) -> None:
         n = self.order
         t = self.table
-        assert t[0] == tuple(range(n)), "coset 0 is not an identity"
-        assert all(t[i][0] == i for i in range(n))
+        _check(t[0] == tuple(range(n)), "coset 0 is not an identity")
+        _check(all(t[i][0] == i for i in range(n)), "coset 0 is not an identity")
         for i in range(n):
-            assert t[i].count(0) == 1, "an element has no unique inverse"
+            _check(t[i].count(0) == 1, "an element has no unique inverse")
         if n <= 64:
             triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
         else:
             triples = [
                 (a % n, (a * 7 + 3) % n, (a * 13 + 5) % n) for a in range(200)
             ]
-        for a, b, c in triples:
-            assert t[t[a][b]][c] == t[a][t[b][c]], (
-                "coset multiplication is not associative; the enumerated "
-                "subgroup is probably not normal"
-            )
-
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = self.table[y][x]
-            k += 1
-        return k
-
-    def _abelian_invariants(self):
-        """Divisor chain by repeatedly splitting off a maximal-order cyclic
-        factor (valid for finite abelian groups)."""
-        from vhcert.fpgroups import AbelianInvariants
-
-        table = self.table
-        factors = []
-        while len(table) > 1:
-            orders = [self.__class__._order_in(table, x) for x in range(len(table))]
-            exponent = max(orders)
-            g = orders.index(exponent)
-            factors.append(exponent)
-            # quotient by <g>
-            subgroup = {0}
-            x = g
-            while x != 0:
-                subgroup.add(x)
-                x = table[x][g]
-            coset_of = {}
-            reps = []
-            for x in range(len(table)):
-                if x in coset_of:
-                    continue
-                idx = len(reps)
-                reps.append(x)
-                for s in subgroup:
-                    coset_of[table[x][s]] = idx
-            table = tuple(
-                tuple(coset_of[table[reps[i]][reps[j]]] for j in range(len(reps)))
-                for i in range(len(reps))
-            )
-        return AbelianInvariants(
-            free_rank=0, torsion=tuple(t for t in reversed(factors) if t > 1)
+        _check(
+            all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in triples),
+            "coset multiplication is not associative; the enumerated "
+            "subgroup is probably not normal",
         )
-
-    @staticmethod
-    def _order_in(table, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = table[y][x]
-            k += 1
-        return k
 
 
 def _transversal_words(table: CosetTable):
@@ -485,12 +473,6 @@ def _transversal_words(table: CosetTable):
     return [reps[i] for i in range(len(table.table))]
 
 
-def quotient_structure(table: CosetTable, p: Presentation | None = None) -> FiniteQuotient:
-    """Group structure on the cosets of a closed table.
-
-    ``p`` is accepted for symmetry with the enumeration entry points; the
-    table already carries its presentation.
-    """
-    if p is not None and p.generators != table.presentation.generators:
-        raise ValueError("presentation does not match the table")
+def quotient_structure(table: CosetTable) -> FiniteQuotient:
+    """Group structure on the cosets of a closed table."""
     return FiniteQuotient(table)

@@ -181,3 +181,38 @@ def test_certificate_exhaustion_is_reported(sigma):
     assert by_name["normal_closure_index"].verdict == "unknown"
     assert by_name["parity_kernel_identification"].verdict == "skipped"
     assert not cert.simple
+
+
+def test_certificate_computes_each_fact_once(sigma, monkeypatch):
+    # one link check, one build per local group, one recognition per group
+    import vhcert.certificates as certificates
+    import vhcert.permgroups as permgroups
+
+    links = []
+    groups = []
+    recognized = []
+    check_link = certificates.check_link
+    local_group = certificates.local_group
+    recognize = permgroups.recognize
+
+    def counting_check_link(c):
+        links.append(c)
+        return check_link(c)
+
+    def counting_local_group(c, side, depth, *args, **kwargs):
+        groups.append((side, depth))
+        return local_group(c, side, depth, *args, **kwargs)
+
+    def counting_recognize(group):
+        recognized.append(group)
+        return recognize(group)
+
+    monkeypatch.setattr(certificates, "check_link", counting_check_link)
+    monkeypatch.setattr(certificates, "local_group", counting_local_group)
+    monkeypatch.setattr(certificates, "recognize", counting_recognize)
+    monkeypatch.setattr(permgroups, "recognize", counting_recognize)
+    cert = simplicity_certificate(sigma, WORD, assume_nrf=True)
+    assert cert.simple
+    assert links == [sigma]
+    assert sorted(groups) == [("h", 1), ("v", 1), ("v", 2)]
+    assert len({id(g) for g in recognized}) == len(recognized) == 4

@@ -198,6 +198,28 @@ def test_json_output_is_deterministic(capsys, sigma_path):
     assert len(outputs) == 1
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of an invocation that must fail as a usage error."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code, capsys.readouterr().err
+
+
 def test_word_required(capsys, sigma_path):
-    code, _ = run(capsys, "closure-index", sigma_path)
-    assert code == 1
+    code, err = usage_error(capsys, "closure-index", sigma_path)
+    assert code == 64
+    assert err.count("\n") == 1 and "--word" in err
+
+
+@pytest.mark.parametrize("depth", ["0", "4"])
+def test_local_depth_out_of_range_exit_64(capsys, lambda_path, depth):
+    code, err = usage_error(capsys, "local", lambda_path, "--depth", depth)
+    assert code == 64
+    assert err.count("\n") == 1 and "--depth" in err
+
+
+def test_directory_path_exit_64(capsys, corpus_dir):
+    code = main(["check-link", str(corpus_dir)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

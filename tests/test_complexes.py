@@ -185,6 +185,6 @@ def test_subcomplex_full_true_for_all_corpus(lam, delta, sigma):
 def test_corner_count_identity(lam, delta, sigma):
     # every (a, b) pair appears exactly once; 4mn corners total
     for c in (lam, delta, sigma):
-        entries = c.corner_entries()
+        entries = c.corner_entries
         assert len(entries) == 4 * c.m * c.n
         assert all(len(v) == 1 for v in entries.values())

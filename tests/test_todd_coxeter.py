@@ -193,6 +193,14 @@ def test_parity_kernel_table_matches_enumerated_closure(sigma):
     assert parity_kernel_table(p).table == normal_closure_table(p, w).table
 
 
+def test_parity_kernel_quotient_is_klein_four(lam, delta, sigma):
+    # delta's abelianization is Z^3, so the invariants must come from the
+    # kernel's generators, not from the parent presentation alone
+    for c in (lam, delta, sigma):
+        q = quotient_structure(parity_kernel_table(presentation_from_complex(c)))
+        assert q.invariants.torsion == (2, 2)
+
+
 def test_table_dump_formats(sigma):
     p = presentation_from_complex(sigma)
     table = parity_kernel_table(p)
@@ -209,3 +217,32 @@ def test_cap_must_be_positive(sigma):
     p = presentation_from_complex(sigma)
     with pytest.raises(ValueError):
         CosetTable(p, cap=0)
+
+
+def test_verification_survives_optimize_flag():
+    # the closed-table checks are raises, not asserts, so python -O keeps them
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import vhcert
+
+    script = (
+        "from vhcert import corpus\n"
+        "from vhcert.fpgroups import presentation_from_complex\n"
+        "from vhcert.todd_coxeter import parity_kernel_table\n"
+        "table = parity_kernel_table(presentation_from_complex(corpus.load('sigma')))\n"
+        "table.table[0][0] = 0\n"
+        "try:\n"
+        "    table.verify_closed()\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(vhcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    ).stdout
+    assert out == "VerificationError column is not a permutation\n"
