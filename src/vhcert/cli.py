@@ -376,7 +376,7 @@ def main(argv=None) -> int:
               args.as_json,
               [f"exhausted: no closure within {exc.cap} cosets (result unknown)"])
         return EXIT_EXHAUSTED
-    except (ComplexError, WordError) as exc:
+    except (ComplexError, WordError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as exc:

@@ -15,6 +15,9 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
+from operator import itemgetter
+
+from vhcert.checks import check
 
 
 class PermutationError(ValueError):
@@ -23,7 +26,10 @@ class PermutationError(ValueError):
 
 def _mul(p, q):
     """Compose image tuples: apply p, then q."""
-    return tuple(q[i] for i in p)
+    if len(p) < 2:
+        # itemgetter with one index returns a bare element, with none it raises
+        return tuple(q[i] for i in p)
+    return itemgetter(*p)(q)
 
 
 def _inv(p):
@@ -370,8 +376,8 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
                 seen.add(g)
                 schreier.append(g)
     stab = PermGroup([Permutation(g) for g in schreier] or [], degree=degree)
-    # orbit-stabilizer identity is a hard internal invariant
-    assert stab.order * len(orbit) == group.order
+    check(stab.order * len(orbit) == group.order,
+          "stabilizer order breaks the orbit-stabilizer identity")
     return stab
 
 
@@ -380,13 +386,11 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
     if k > group.degree:
         raise PermutationError(f"k={k} exceeds degree {group.degree}")
     current = group
-    fixed = []
-    for _ in range(k):
-        point = next(p for p in range(group.degree) if p not in fixed)
-        if len(current.orbit(point)) != group.degree - len(fixed):
+    for point in range(k):
+        if point:
+            current = point_stabilizer(current, point - 1)
+        if len(current.orbit(point)) != group.degree - point:
             return False
-        current = point_stabilizer(current, point)
-        fixed.append(point)
     return True
 
 

@@ -19,6 +19,7 @@ import json
 import math
 from collections import deque
 
+from vhcert.checks import check
 from vhcert.fpgroups import (
     Presentation,
     abelianization,
@@ -27,16 +28,6 @@ from vhcert.fpgroups import (
     index4_hom,
     invert_word,
 )
-
-
-class VerificationError(Exception):
-    """A closed table or quotient failed one of its exact checks."""
-
-
-def _check(condition: bool, message: str) -> None:
-    # Unlike assert, this check also runs under python -O.
-    if not condition:
-        raise VerificationError(message)
 
 
 class EnumerationExhausted(Exception):
@@ -88,11 +79,12 @@ class CosetTable:
     # -- union-find ---------------------------------------------------------
 
     def rep(self, k: int) -> int:
+        p = self.p
         lam = k
-        while self.p[lam] != lam:
-            lam = self.p[lam]
-        while self.p[k] != lam:
-            self.p[k], k = lam, self.p[k]
+        while p[lam] != lam:
+            lam = p[lam]
+        while p[k] != lam:
+            p[k], k = lam, p[k]
         return lam
 
     def is_live(self, k: int) -> bool:
@@ -104,79 +96,105 @@ class CosetTable:
     # -- core moves ---------------------------------------------------------
 
     def _define(self, alpha: int, col: int) -> int:
-        if len(self.table) >= self.cap:
+        table = self.table
+        beta = len(table)
+        if beta >= self.cap:
             raise _CapHit
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        row = [None] * self.ncols
+        row[col ^ 1] = alpha
+        table.append(row)
         self.p.append(beta)
-        self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
+        table[alpha][col] = beta
         self.live += 1
         self.total_defined += 1
-        self.max_live = max(self.max_live, self.live)
+        if self.live > self.max_live:
+            self.max_live = self.live
         if self.strategy == "felsch":
             self._deductions.append((alpha, col))
         return beta
 
     def _merge(self, a: int, b: int, queue) -> None:
-        a, b = self.rep(a), self.rep(b)
+        p = self.p
+        # rep(k) is k itself, with nothing to compress, when k is live
+        if p[a] != a:
+            a = self.rep(a)
+        if p[b] != b:
+            b = self.rep(b)
         if a != b:
-            lo, hi = min(a, b), max(a, b)
-            self.p[hi] = lo
+            if a > b:
+                a, b = b, a
+            p[b] = a
             self.live -= 1
-            queue.append(hi)
+            queue.append(b)
 
     def _coincidence(self, a: int, b: int) -> None:
+        table = self.table
+        p = self.p
+        rep = self.rep
+        merge = self._merge
+        deductions = self._deductions if self.strategy == "felsch" else None
         queue = deque()
-        self._merge(a, b, queue)
+        merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            row = self.table[dead]
-            for col in range(self.ncols):
-                delta = row[col]
+            # enumerate reads each entry when it is reached, as the loop
+            # below may clear later entries of the dead row
+            for col, delta in enumerate(table[dead]):
                 if delta is None:
                     continue
-                self.table[delta][col ^ 1] = None
-                mu = self.rep(dead)
-                nu = self.rep(delta)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self._merge(mu, self.table[nu][col ^ 1], queue)
+                inv = col ^ 1
+                table[delta][inv] = None
+                mu = rep(dead)
+                nu = delta if p[delta] == delta else rep(delta)
+                mu_row = table[mu]
+                nu_row = table[nu]
+                if mu_row[col] is not None:
+                    merge(nu, mu_row[col], queue)
+                elif nu_row[inv] is not None:
+                    merge(mu, nu_row[inv], queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
-                    if self.strategy == "felsch":
-                        self._deductions.append((mu, col))
+                    mu_row[col] = nu
+                    nu_row[inv] = mu
+                    if deductions is not None:
+                        deductions.append((mu, col))
 
     def _scan(self, alpha: int, cols, fill: bool) -> None:
         """Scan a relator from alpha; define cosets to close gaps iff fill."""
+        table = self.table
+        last = len(cols) - 1
         while True:
             f, i = alpha, 0
-            b, j = alpha, len(cols) - 1
-            while i <= j and self.table[f][cols[i]] is not None:
-                f = self.table[f][cols[i]]
+            b, j = alpha, last
+            while i <= j:
+                nxt = table[f][cols[i]]
+                if nxt is None:
+                    break
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     self._coincidence(f, b)
                 return
-            while j >= i and self.table[b][cols[j] ^ 1] is not None:
-                b = self.table[b][cols[j] ^ 1]
+            while j >= i:
+                nxt = table[b][cols[j] ^ 1]
+                if nxt is None:
+                    break
+                b = nxt
                 j -= 1
             if j < i:
                 if f != b:
                     self._coincidence(f, b)
                 return
+            col = cols[i]
             if j == i:
-                self.table[f][cols[i]] = b
-                self.table[b][cols[i] ^ 1] = f
+                table[f][col] = b
+                table[b][col ^ 1] = f
                 if self.strategy == "felsch":
-                    self._deductions.append((f, cols[i]))
+                    self._deductions.append((f, col))
                 return
             if not fill:
                 return
-            self._define(f, cols[i])
+            self._define(f, col)
 
     # -- strategies ---------------------------------------------------------
 
@@ -228,15 +246,20 @@ class CosetTable:
             alpha += 1
 
     def _process_deductions(self) -> None:
-        while self._deductions:
-            alpha, col = self._deductions.popleft()
-            for coset in (alpha, self.table[self.rep(alpha)][col]):
+        deductions = self._deductions
+        table = self.table
+        p = self.p
+        rep = self.rep
+        scan = self._scan
+        while deductions:
+            alpha, col = deductions.popleft()
+            for coset in (alpha, table[rep(alpha)][col]):
                 if coset is None:
                     continue
-                coset = self.rep(coset)
+                coset = rep(coset)
                 for cols in self.relator_cols:
-                    self._scan(coset, cols, fill=False)
-                    if not self.is_live(coset):
+                    scan(coset, cols, False)
+                    if p[coset] != coset:
                         break
 
     def _run_felsch(self) -> None:
@@ -284,7 +307,7 @@ class CosetTable:
                 if beta not in seen:
                     seen.add(beta)
                     order.append(beta)
-        _check(len(order) == len(self.table), "closed table is disconnected")
+        check(len(order) == len(self.table), "closed table is disconnected")
         rename = {old: new for new, old in enumerate(order)}
         table = [[None] * self.ncols for _ in order]
         for old, new in rename.items():
@@ -302,21 +325,21 @@ class CosetTable:
     def verify_closed(self) -> None:
         n = len(self.table)
         for row in self.table:
-            _check(None not in row, "closed table has an undefined entry")
+            check(None not in row, "closed table has an undefined entry")
         for col in range(self.ncols):
             column = [self.table[alpha][col] for alpha in range(n)]
-            _check(sorted(column) == list(range(n)), "column is not a permutation")
+            check(sorted(column) == list(range(n)), "column is not a permutation")
         for cols in self.relator_cols:
             for alpha in range(n):
                 coset = alpha
                 for col in cols:
                     coset = self.table[coset][col]
-                _check(coset == alpha, "relator does not trace to identity")
+                check(coset == alpha, "relator does not trace to identity")
         for cols in self.subgen_cols:
             coset = 0
             for col in cols:
                 coset = self.table[coset][col]
-            _check(coset == 0, "subgroup generator moves coset 0")
+            check(coset == 0, "subgroup generator moves coset 0")
 
     # -- reporting ----------------------------------------------------------
 
@@ -434,24 +457,24 @@ class FiniteQuotient:
             inv = abelianization(
                 Presentation.build(p.generators, p.relators + table.subgens)
             )
-            _check(inv.free_rank == 0 and math.prod(inv.torsion) == n,
-                   "abelian invariants disagree with the quotient order")
+            check(inv.free_rank == 0 and math.prod(inv.torsion) == n,
+                  "abelian invariants disagree with the quotient order")
             self.invariants = inv
 
     def _verify(self) -> None:
         n = self.order
         t = self.table
-        _check(t[0] == tuple(range(n)), "coset 0 is not an identity")
-        _check(all(t[i][0] == i for i in range(n)), "coset 0 is not an identity")
+        check(t[0] == tuple(range(n)), "coset 0 is not an identity")
+        check(all(t[i][0] == i for i in range(n)), "coset 0 is not an identity")
         for i in range(n):
-            _check(t[i].count(0) == 1, "an element has no unique inverse")
+            check(t[i].count(0) == 1, "an element has no unique inverse")
         if n <= 64:
             triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
         else:
             triples = [
                 (a % n, (a * 7 + 3) % n, (a * 13 + 5) % n) for a in range(200)
             ]
-        _check(
+        check(
             all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in triples),
             "coset multiplication is not associative; the enumerated "
             "subgroup is probably not normal",

@@ -184,16 +184,19 @@ def test_certificate_exhaustion_is_reported(sigma):
 
 
 def test_certificate_computes_each_fact_once(sigma, monkeypatch):
-    # one link check, one build per local group, one recognition per group
+    # one link check, one build per local group, one recognition per group,
+    # and no permutation group built twice
     import vhcert.certificates as certificates
     import vhcert.permgroups as permgroups
 
     links = []
     groups = []
     recognized = []
+    builds = []
     check_link = certificates.check_link
     local_group = certificates.local_group
     recognize = permgroups.recognize
+    perm_group_init = permgroups.PermGroup.__init__
 
     def counting_check_link(c):
         links.append(c)
@@ -207,7 +210,12 @@ def test_certificate_computes_each_fact_once(sigma, monkeypatch):
         recognized.append(group)
         return recognize(group)
 
+    def counting_perm_group_init(self, *args, **kwargs):
+        builds.append(self)
+        perm_group_init(self, *args, **kwargs)
+
     monkeypatch.setattr(certificates, "check_link", counting_check_link)
+    monkeypatch.setattr(permgroups.PermGroup, "__init__", counting_perm_group_init)
     monkeypatch.setattr(certificates, "local_group", counting_local_group)
     monkeypatch.setattr(certificates, "recognize", counting_recognize)
     monkeypatch.setattr(permgroups, "recognize", counting_recognize)
@@ -216,3 +224,7 @@ def test_certificate_computes_each_fact_once(sigma, monkeypatch):
     assert links == [sigma]
     assert sorted(groups) == [("h", 1), ("v", 1), ("v", 2)]
     assert len({id(g) for g in recognized}) == len(recognized) == 4
+    # 3 local groups, 2 depth-1 point stabilizers (2-transitivity reuses
+    # them), one restriction per recognition and 3 + 4 stabilizers in the
+    # M11 / M12 transitivity checks
+    assert len(builds) == 16

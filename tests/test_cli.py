@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,22 @@ def test_malformed_file_exit_one(capsys, tmp_path):
     bad.write_text("complex broken\nhorizontal a1\nvertical b1\nsquare a1 b1\n")
     code, _ = run(capsys, "check-link", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("content", [
+    random.Random(0).randbytes(200),
+    "complex caf\xe9\nhorizontal a1\nvertical b1\n".encode("latin-1"),
+], ids=["random-bytes", "latin-1"])
+def test_non_utf8_file_exit_one(capsys, tmp_path, content):
+    with pytest.raises(UnicodeDecodeError):
+        content.decode("utf-8")
+    bad = tmp_path / "binary.vh"
+    bad.write_bytes(content)
+    code = main(["check-link", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_usage_error_exit_64(capsys):

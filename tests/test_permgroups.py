@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from vhcert.local_actions import local_group
 from vhcert.permgroups import (
     Permutation,
     PermutationError,
+    _mul,
     brute_simplicity,
     bsgs_build,
     conjugacy_class_reps,
@@ -42,6 +44,30 @@ def test_mul_convention():
     p = perm("(1,2)", 3)
     q = perm("(2,3)", 3)
     assert (p * q).cycle_string() == "(1,3,2)"
+
+
+perm_pairs = st.integers(0, 60).flatmap(
+    lambda d: st.tuples(st.permutations(range(d)), st.permutations(range(d)))
+)
+
+
+@given(perm_pairs)
+@example(([], []))
+@example(([0], [0]))
+@example(([1, 0], [1, 0]))
+def test_mul_matches_plain_composition(pair):
+    p, q = (tuple(x) for x in pair)
+    assert _mul(p, q) == tuple(q[i] for i in p)
+
+
+def test_degree_one_group():
+    ident = Permutation([0])
+    g = bsgs_build([ident])
+    assert (g.degree, g.order) == (1, 1)
+    assert g.elements() == [ident]
+    assert ident in g
+    stab = point_stabilizer(g, 0)
+    assert (stab.degree, stab.order) == (1, 1)
 
 
 def test_s4_order():
@@ -85,7 +111,7 @@ def test_orbit_stabilizer_identity():
         rng.shuffle(other)
         group = bsgs_build([Permutation(images), Permutation(other)])
         p = rng.randrange(degree)
-        stab = point_stabilizer(group, p)  # asserts the identity internally
+        stab = point_stabilizer(group, p)  # checks the identity internally
         assert stab.order * len(group.orbit(p)) == group.order
 
 

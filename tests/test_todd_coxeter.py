@@ -110,10 +110,15 @@ def test_subgroup_generators_restrict_enumeration():
     assert table.index == 2
 
 
-def test_normal_closure_sigma_word(sigma):
+@pytest.fixture(scope="module")
+def witness_closures(sigma):
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")
-    table = normal_closure_table(p, w)
+    return {s: normal_closure_table(p, w, strategy=s) for s in ("hlt", "felsch")}
+
+
+def test_normal_closure_sigma_word(witness_closures):
+    table = witness_closures["hlt"]
     assert table.index == 4
     q = quotient_structure(table)
     assert q.abelian
@@ -150,12 +155,23 @@ def test_standardized_table_is_canonical():
         assert enumerate_cosets(shuffled).table == reference
 
 
-def test_hlt_and_felsch_agree(sigma):
+def test_hlt_and_felsch_agree(witness_closures):
+    assert witness_closures["hlt"].table == witness_closures["felsch"].table
+
+
+def test_witness_closure_counters(sigma, witness_closures):
+    # exact work counts: they move only if the order of definitions,
+    # deductions and coincidences does
+    assert [t.summary() for t in witness_closures.values()] == [
+        {"index": 4, "strategy": "hlt", "max_live": 58459, "total_defined": 62002},
+        {"index": 4, "strategy": "felsch", "max_live": 15371, "total_defined": 16900},
+    ]
+    # the cap forces HLT through lookahead and compression
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")
-    hlt = normal_closure_table(p, w, strategy="hlt")
-    felsch = normal_closure_table(p, w, strategy="felsch")
-    assert hlt.table == felsch.table
+    assert normal_closure_table(p, w, cap=20000).summary() == {
+        "index": 4, "strategy": "hlt", "max_live": 19067, "total_defined": 20000,
+    }
 
 
 def test_quotient_cyclic_six():
@@ -220,7 +236,8 @@ def test_cap_must_be_positive(sigma):
 
 
 def test_verification_survives_optimize_flag():
-    # the closed-table checks are raises, not asserts, so python -O keeps them
+    # the closed-table and orbit-stabilizer checks are raises, not asserts,
+    # so python -O keeps them
     import os
     import subprocess
     import sys
@@ -238,6 +255,18 @@ def test_verification_survives_optimize_flag():
         "    table.verify_closed()\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
+        "import vhcert.permgroups as pg\n"
+        "group = pg.PermGroup([pg.Permutation.parse('(1,2,3,4)'),\n"
+        "                      pg.Permutation.parse('(1,2)', 4)])\n"
+        "class Corrupt(pg.PermGroup):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "        self.order += 1\n"
+        "pg.PermGroup = Corrupt\n"
+        "try:\n"
+        "    pg.point_stabilizer(group, 0)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
     )
     src = str(Path(vhcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -245,4 +274,7 @@ def test_verification_survives_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True,
         text=True, timeout=60, check=True,
     ).stdout
-    assert out == "VerificationError column is not a permutation\n"
+    assert out == (
+        "VerificationError column is not a permutation\n"
+        "VerificationError stabilizer order breaks the orbit-stabilizer identity\n"
+    )
