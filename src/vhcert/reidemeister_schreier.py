@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from vhcert.checks import check
 from vhcert.fpgroups import (
     Presentation,
     abelianization,
@@ -35,10 +36,10 @@ class Transversal:
     words: tuple
 
     def __post_init__(self):
-        assert self.words[0] == ()
+        check(self.words[0] == (), "transversal does not start with the empty word")
         prefixes = set(self.words)
         for w in self.words:
-            assert w[:-1] in prefixes, "transversal is not prefix-closed"
+            check(w[:-1] in prefixes, "transversal is not prefix-closed")
 
     def __len__(self):
         return len(self.words)
@@ -86,7 +87,8 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
             if (coset, g) not in tree:
                 gen_ids[(coset, g)] = len(names)
                 names.append(f"{p.generators[g]}_{coset}")
-    assert len(names) == k * len(p.generators) - (k - 1)
+    check(len(names) == k * len(p.generators) - (k - 1),
+          "Schreier generator count is not k*g - (k-1)")
 
     def rewrite(coset, word):
         """Trace ``word`` from ``coset``, emitting one subgroup letter per
@@ -109,9 +111,9 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
     for rel in p.relators:
         for coset in range(k):
             end, rewritten = rewrite(coset, rel)
-            assert end == coset, "relator does not close up in the table"
+            check(end == coset, "relator does not close up in the table")
             relators.append(cyclic_reduce(rewritten))
-    assert len(relators) == k * len(p.relators)
+    check(len(relators) == k * len(p.relators), "Schreier relator count is not k*r")
     return Presentation.build(names, relators)
 
 
@@ -187,7 +189,8 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
             del names[gen]
             remap = lambda g: g if g < gen else g - 1
             relators = [tuple((remap(g), s) for g, s in r) for r in relators]
-            assert len(relators) - len(names) == balance
+            check(len(relators) - len(names) == balance,
+                  "Tietze move changed #relators - #generators")
             applied = True
             break
         if not applied:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from vhcert.fpgroups import Presentation, presentation_from_complex
+from vhcert.checks import VerificationError
+from vhcert.fpgroups import Presentation, free_reduce, presentation_from_complex
 from vhcert.permgroups import Permutation
 from vhcert.todd_coxeter import (
     CosetTable,
@@ -164,7 +165,7 @@ def test_witness_closure_counters(sigma, witness_closures):
     # deductions and coincidences does
     assert [t.summary() for t in witness_closures.values()] == [
         {"index": 4, "strategy": "hlt", "max_live": 58459, "total_defined": 62002},
-        {"index": 4, "strategy": "felsch", "max_live": 15371, "total_defined": 16900},
+        {"index": 4, "strategy": "felsch", "max_live": 4940, "total_defined": 5008},
     ]
     # the cap forces HLT through lookahead and compression
     p = presentation_from_complex(sigma)
@@ -172,6 +173,84 @@ def test_witness_closure_counters(sigma, witness_closures):
     assert normal_closure_table(p, w, cap=20000).summary() == {
         "index": 4, "strategy": "hlt", "max_live": 19067, "total_defined": 20000,
     }
+
+
+def _random_word(rng, ngens, lo, hi):
+    return free_reduce(
+        [(rng.randrange(ngens), rng.choice((1, -1))) for _ in range(rng.randint(lo, hi))]
+    )
+
+
+def test_strategies_agree_on_random_presentations():
+    # Felsch scans only the relator rotations through each deduced entry;
+    # wherever both strategies close, the standardized tables must agree
+    rng = random.Random(2024)
+    closed = nontrivial = 0
+    for _ in range(300):
+        ngens = rng.randint(2, 3)
+        relators = [((g, 1),) * rng.randint(2, 5) for g in range(ngens)
+                    if rng.random() < 0.7]
+        relators += [_random_word(rng, ngens, 2, 10) for _ in range(rng.randint(1, 3))]
+        p = Presentation.build(("x", "y", "z")[:ngens], relators)
+        subgens = [_random_word(rng, ngens, 1, 4) for _ in range(rng.randint(0, 2))]
+        tables = {}
+        for strategy in ("hlt", "felsch"):
+            try:
+                tables[strategy] = enumerate_cosets(p, subgens, 1000, strategy).table
+            except EnumerationExhausted:
+                pass
+        if len(tables) == 2:
+            assert tables["hlt"] == tables["felsch"], str(p)
+            closed += 1
+            nontrivial += len(tables["hlt"]) > 1
+    assert closed >= 200 and nontrivial >= 50
+
+
+# generators, relators, subgroup generators, index
+SYMPY_CASES = [
+    ("A5", ["x", "y"], ["x^2", "y^3", "x*y*x*y*x*y*x*y*x*y"], [], 60),
+    ("A5 mod <y>", ["x", "y"], ["x^2", "y^3", "x*y*x*y*x*y*x*y*x*y"], ["y"], 20),
+    ("S3", ["x", "y"], ["x^3", "y^2", "x*y*x*y"], [], 6),
+    ("S3 mod <x>", ["x", "y"], ["x^3", "y^2", "x*y*x*y"], ["x"], 2),
+    ("Q8", ["x", "y"], ["x^4", "x^2*y^-2", "y^-1*x*y*x"], [], 8),
+    ("proper power", ["x", "y"], ["x^2", "y^3", "x*y*x*y*x*y*x*y"], ["x*y"], 6),
+    ("empty relator", ["x", "y"], ["x^2", "y^2", "1", "x*y*x*y*x*y"], [], 6),
+]
+
+
+@pytest.mark.parametrize("name,gens,rels,subgens,index",
+                         SYMPY_CASES, ids=[c[0] for c in SYMPY_CASES])
+def test_index_matches_sympy(name, gens, rels, subgens, index):
+    pytest.importorskip("sympy")
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *letters = free_group(" ".join(gens))
+    p = pres(gens, *rels)
+
+    def to_sympy(word):
+        element = free.identity
+        for g, e in word:
+            element *= letters[g] ** e
+        return element
+
+    group = FpGroup(free, [to_sympy(r) for r in p.relators])
+    words = [p.parse_word(w) for w in subgens]
+    assert group.index([to_sympy(w) for w in words]) == index
+    for strategy in ("hlt", "felsch"):
+        assert enumerate_cosets(p, words, strategy=strategy).index == index
+
+
+def test_felsch_exhaustion_is_a_resource_verdict():
+    # infinite index: Felsch must run out of cosets, never close wrongly
+    # or fail a check
+    with pytest.raises(EnumerationExhausted):
+        enumerate_cosets(Presentation.build(("x", "y"), []), cap=1000,
+                         strategy="felsch")
+    torus = pres(["x", "y"], "x*y*x^-1*y^-1")
+    with pytest.raises(EnumerationExhausted):
+        normal_closure_index(torus, torus.parse_word("x*y^2"), cap=2000,
+                             strategy="felsch")
 
 
 def test_quotient_cyclic_six():
@@ -194,6 +273,19 @@ def test_quotient_invariants_c2xc4():
     )
     assert q.abelian
     assert q.invariants.torsion == (2, 4)
+
+
+def test_quotient_rejects_non_normal_subgroup_of_large_index():
+    # <y> has index 65 in the dihedral group of order 130 and is not normal
+    p = pres(["x", "y"], "x^65", "y^2", "x*y*x*y")
+    table = enumerate_cosets(p, subgens=[p.parse_word("y")])
+    assert table.index == 65
+    with pytest.raises(VerificationError, match="not normal"):
+        quotient_structure(table)
+    # the normal subgroup <x> and the trivial subgroup of Z/70 pass
+    assert quotient_structure(enumerate_cosets(p, subgens=[p.parse_word("x")])).order == 2
+    q = quotient_structure(enumerate_cosets(pres(["x"], "x^70")))
+    assert q.order == 70 and q.invariants.torsion == (70,)
 
 
 def test_closure_index_equals_quotient_order(sigma):
@@ -236,8 +328,8 @@ def test_cap_must_be_positive(sigma):
 
 
 def test_verification_survives_optimize_flag():
-    # the closed-table and orbit-stabilizer checks are raises, not asserts,
-    # so python -O keeps them
+    # the closed-table, orbit-stabilizer and Reidemeister-Schreier checks
+    # are raises, not asserts, so python -O keeps them
     import os
     import subprocess
     import sys
@@ -267,6 +359,18 @@ def test_verification_survives_optimize_flag():
         "    pg.point_stabilizer(group, 0)\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
+        "from vhcert.fpgroups import Presentation\n"
+        "from vhcert.reidemeister_schreier import Transversal, subgroup_presentation\n"
+        "try:\n"
+        "    Transversal(((), ((0, 1), (1, 1))))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "p = presentation_from_complex(corpus.load('sigma'))\n"
+        "odd = Presentation.build(p.generators, p.relators + (((0, 1),),))\n"
+        "try:\n"
+        "    subgroup_presentation(odd, parity_kernel_table(p))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
     )
     src = str(Path(vhcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -277,4 +381,6 @@ def test_verification_survives_optimize_flag():
     assert out == (
         "VerificationError column is not a permutation\n"
         "VerificationError stabilizer order breaks the orbit-stabilizer identity\n"
+        "VerificationError transversal is not prefix-closed\n"
+        "VerificationError relator does not close up in the table\n"
     )
