@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from vhcert import corpus
+from vhcert.checks import check
 from vhcert.complexes import (
     SquareComplex,
     check_link,
@@ -263,14 +264,12 @@ def amalgam_ranks(m: int, n: int):
     )
     chi4 = 4 * (1 - (m + n) + m * n)
     for s in splittings:
-        if 2 * (1 - s.vertex_rank) - (1 - s.edge_rank) != chi4:
-            raise AssertionError(
-                f"amalgam ranks {s} violate the Euler identity for (m, n) = ({m}, {n})"
-            )
+        check(2 * (1 - s.vertex_rank) - (1 - s.edge_rank) == chi4,
+              f"amalgam ranks {s} violate the Euler identity for (m, n) = ({m}, {n})")
     return splittings
 
 
-DEFAULT_WITNESS_SOURCE = (
+WITNESS_SOURCE = (
     "Wise (1996): the group of this subcomplex is not residually finite, "
     "with the given word in every finite-index subgroup"
 )
@@ -282,16 +281,12 @@ def simplicity_certificate(
     assume_nrf: bool = False,
     cap: int = 10**6,
     strategy: str = "hlt",
-    sub_h_names=None,
-    sub_v_names=None,
-    reference: SquareComplex | None = None,
-    witness_source: str = DEFAULT_WITNESS_SOURCE,
 ) -> Certificate:
     """Run the full chain and assemble a certificate.
 
     ``word`` is a word over the complex's generators (a Word or a string
-    in the a2*a1^-1 syntax).  The embedded subcomplex defaults to the
-    bundled delta complex on generators a1..a4, b1..b3; the certificate
+    in the a2*a1^-1 syntax).  The embedded subcomplex is the bundled
+    delta complex on generators a1..a4, b1..b3; the certificate
     concludes simplicity only when every prerequisite step passed and
     ``assume_nrf`` acknowledges the external non-residual-finiteness
     theorem for that subcomplex.
@@ -302,12 +297,8 @@ def simplicity_certificate(
     if isinstance(word, str):
         word = p.parse_word(word)
     word_text = p.word_to_string(word)
-    if reference is None:
-        reference = corpus.load("delta")
-    if sub_h_names is None:
-        sub_h_names = reference.hnames
-    if sub_v_names is None:
-        sub_v_names = reference.vnames
+    reference = corpus.load("delta")
+    sub_h_names, sub_v_names = reference.hnames, reference.vnames
 
     steps = []
 
@@ -450,7 +441,7 @@ def simplicity_certificate(
             f"the word {word_text} lies in every finite-index subgroup of "
             "the embedded subcomplex's group"
         ),
-        "source": witness_source,
+        "source": WITNESS_SOURCE,
         "acknowledged": bool(assume_nrf),
     }]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from vhcert.checks import check
 from vhcert.complexes import HORIZONTAL, SquareComplex
 
 
@@ -291,8 +292,8 @@ def smith_normal_form(matrix):
         factors.append(d[t][t])
 
     full = [[factors[i] if i == j and i < len(factors) else 0 for j in range(cols)] for i in range(rows)]
-    if _mat_mul(u, _mat_mul(full, v)) != [list(map(int, row)) for row in matrix]:
-        raise AssertionError("smith normal form transforms do not reproduce the input")
+    check(_mat_mul(u, _mat_mul(full, v)) == [list(map(int, row)) for row in matrix],
+          "smith normal form transforms do not reproduce the input")
     return factors, u, v
 
 
@@ -304,9 +305,9 @@ class AbelianInvariants:
     torsion: tuple
 
     def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0, "torsion coefficients must form a divisor chain"
-        assert all(t > 1 for t in self.torsion)
+        check(all(b % a == 0 for a, b in zip(self.torsion, self.torsion[1:])),
+              "torsion coefficients must form a divisor chain")
+        check(all(t > 1 for t in self.torsion), "torsion coefficients must exceed 1")
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from vhcert.checks import check
 from vhcert.complexes import HORIZONTAL, VERTICAL, Letter, SquareComplex
 from vhcert.permgroups import PermGroup, Permutation, bsgs_build
 
@@ -31,8 +32,9 @@ class LocalPerm:
 
     def __post_init__(self):
         values = list(self.depth1.values())
-        assert len(set(values)) == len(values), "depth-1 map is not a bijection"
-        assert all(r.side == self.actor.side for r in self.residual.values())
+        check(len(set(values)) == len(values), "depth-1 map is not a bijection")
+        check(all(r.side == self.actor.side for r in self.residual.values()),
+              "a residual letter is not on the actor's side")
 
 
 def vertical_local_perm(c: SquareComplex, a: Letter) -> LocalPerm:
@@ -107,7 +109,8 @@ class SphereIndex:
         self.words = tuple(words)
         self.position = {w: i for i, w in enumerate(self.words)}
         d = len(self.letters)
-        assert len(self.words) == d * (d - 1) ** (depth - 1)
+        check(len(self.words) == d * (d - 1) ** (depth - 1),
+              "sphere size is not d*(d-1)^(depth-1)")
 
     def __len__(self):
         return len(self.words)
@@ -115,15 +118,14 @@ class SphereIndex:
 
 def sphere_action(
     c: SquareComplex, x: Letter, depth: int, sphere: SphereIndex | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Permutation:
     """Permutation induced by ``x`` on the depth-k sphere of the other tree.
 
     Recursion: the image of w1 w2 .. wk under x is depth1_x(w1) followed by
     the image of w2 .. wk under residual_x(w1).
     """
-    if depth > max_depth:
-        raise ValueError(f"sphere depth {depth} exceeds the configured cap {max_depth}")
+    if depth > DEFAULT_MAX_DEPTH:
+        raise ValueError(f"sphere depth {depth} exceeds the cap {DEFAULT_MAX_DEPTH}")
     opposite = VERTICAL if x.side == HORIZONTAL else HORIZONTAL
     if sphere is None:
         sphere = SphereIndex(c, opposite, depth)
@@ -143,7 +145,6 @@ def sphere_action(
 
 def local_group(
     c: SquareComplex, side: str, depth: int, sphere: SphereIndex | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> PermGroup:
     """The local group of one side at the given sphere depth.
 
@@ -158,5 +159,5 @@ def local_group(
     actor_side = VERTICAL if side == HORIZONTAL else HORIZONTAL
     count = c.n if side == HORIZONTAL else c.m
     actors = [Letter(actor_side, i + 1) for i in range(count)]
-    gens = [sphere_action(c, a, depth, sphere, max_depth) for a in actors]
+    gens = [sphere_action(c, a, depth, sphere) for a in actors]
     return bsgs_build(gens, degree=len(sphere))

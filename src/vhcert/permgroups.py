@@ -75,9 +75,6 @@ class Permutation:
     def __hash__(self):
         return hash(self.images)
 
-    def is_identity(self) -> bool:
-        return self.images == _identity(self.degree)
-
     def moved_points(self):
         return [i for i, j in enumerate(self.images) if i != j]
 
@@ -300,18 +297,6 @@ class PermGroup:
         for lvl in self._levels:
             order *= len(lvl.orbit)
         self.order = order
-
-    @property
-    def base(self):
-        return tuple(self._base)
-
-    def strong_generators(self):
-        out = []
-        for lvl in self._levels:
-            for g in lvl.gens:
-                if g not in out:
-                    out.append(g)
-        return [Permutation(g) for g in out]
 
     def __contains__(self, perm: Permutation) -> bool:
         if perm.degree != self.degree:

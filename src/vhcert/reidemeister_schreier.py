@@ -1,8 +1,9 @@
 """Presentations of finite-index subgroups from closed coset tables.
 
-Reidemeister-Schreier: pick a prefix-closed (Schreier) transversal from
-the breadth-first spanning tree of the table, take one generator per
-non-tree table entry, and rewrite every parent relator from every coset.
+Reidemeister-Schreier: read a prefix-closed (Schreier) transversal off
+the breadth-first spanning tree that standardization recorded in the
+closed table, take one generator per non-tree table entry, and rewrite
+every parent relator from every coset.
 For index k over g generators and r relators this yields exactly
 k*g - (k-1) generators and k*r relators before any simplification.
 
@@ -25,7 +26,13 @@ from vhcert.fpgroups import (
     free_reduce,
     invert_word,
 )
-from vhcert.todd_coxeter import CosetTable, _transversal_words
+# schreier_generator_words lives beside the tree it reads and is public here too
+from vhcert.todd_coxeter import (
+    CosetTable,
+    _schreier_entries,
+    _transversal_words,
+    schreier_generator_words,
+)
 
 
 @dataclass(frozen=True)
@@ -46,24 +53,10 @@ class Transversal:
 
 
 def schreier_transversal(table: CosetTable) -> Transversal:
-    """Breadth-first representatives of a closed, standardized table."""
+    """Breadth-first representatives of a closed table."""
     if not table.closed:
         raise ValueError("transversal requires a closed table")
-    if not table.standardized:
-        raise ValueError("transversal requires a standardized table")
     return Transversal(tuple(_transversal_words(table)))
-
-
-def _tree_edges(table: CosetTable, reps):
-    """Positive-generator table entries (coset, g) realized by the edges of
-    the spanning tree behind the breadth-first representatives ``reps``:
-    the last letter of each representative is the edge that reached it."""
-    tree = set()
-    for beta, word in enumerate(reps[1:], start=1):
-        g, e = word[-1]
-        # reached through g from table[beta][g^-1], or through g^-1 from beta
-        tree.add((table.table[beta][2 * g + 1], g) if e > 0 else (beta, g))
-    return tree
 
 
 def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
@@ -78,15 +71,9 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
     if len(p.generators) * 2 != table.ncols:
         raise ValueError("presentation does not match the table")
     k = len(table.table)
-    tree = _tree_edges(table, _transversal_words(table))
-
-    gen_ids = {}
-    names = []
-    for coset in range(k):
-        for g in range(len(p.generators)):
-            if (coset, g) not in tree:
-                gen_ids[(coset, g)] = len(names)
-                names.append(f"{p.generators[g]}_{coset}")
+    entries = _schreier_entries(table)
+    gen_ids = {entry: i for i, entry in enumerate(entries)}
+    names = [f"{p.generators[g]}_{coset}" for coset, g in entries]
     check(len(names) == k * len(p.generators) - (k - 1),
           "Schreier generator count is not k*g - (k-1)")
 
@@ -98,12 +85,12 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
             if e > 0:
                 edge = (coset, g)
                 coset = table.table[coset][2 * g]
-                if edge not in tree:
+                if edge in gen_ids:
                     out.append((gen_ids[edge], 1))
             else:
                 coset = table.table[coset][2 * g + 1]
                 edge = (coset, g)
-                if edge not in tree:
+                if edge in gen_ids:
                     out.append((gen_ids[edge], -1))
         return coset, tuple(out)
 
@@ -115,21 +102,6 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
             relators.append(cyclic_reduce(rewritten))
     check(len(relators) == k * len(p.relators), "Schreier relator count is not k*r")
     return Presentation.build(names, relators)
-
-
-def schreier_generator_words(p: Presentation, table: CosetTable):
-    """The subgroup generators as words in the parent generators:
-    rep(i) * x * rep(i^x)^-1 for each non-tree entry (i, x)."""
-    reps = _transversal_words(table)
-    tree = _tree_edges(table, reps)
-    words = []
-    for coset in range(len(table.table)):
-        for g in range(len(p.generators)):
-            if (coset, g) in tree:
-                continue
-            target = table.table[coset][2 * g]
-            words.append(concat(reps[coset], ((g, 1),), invert_word(reps[target])))
-    return words
 
 
 def _occurrences(rel, gen):

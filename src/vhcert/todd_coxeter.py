@@ -11,15 +11,17 @@ Coincidences are handled by a union-find with an immediately processed
 queue.  Enumeration is a semi-decision procedure: running out of the cap
 yields the resource verdict ``EnumerationExhausted``, never "infinite".
 
-Closed tables are compressed, standardized (breadth-first renumbering,
-which makes the table canonical for the subgroup) and verified: every
-column must permute the cosets, every relator must trace to its starting
-coset, and every subgroup generator must fix coset 0.
+Every closed table, enumerated or built directly, is finished the same
+way: standardized (the live cosets renumbered breadth-first from coset 0,
+which makes the table canonical for the subgroup, recording the spanning
+tree of that search) and verified: every column must permute the cosets,
+every relator must trace to its starting coset, and every subgroup
+generator must fix coset 0.  The recorded tree gives the Schreier
+transversal and the Schreier generators of the subgroup.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 
@@ -82,7 +84,6 @@ class CosetTable:
         self.strategy = strategy
         self.ncols = 2 * len(presentation.generators)
         self.relator_cols = [ _word_to_cols(r) for r in presentation.relators ]
-        self.subgen_cols = [ _word_to_cols(cyclic_reduce(w)) for w in self.subgens ]
         if strategy == "felsch":
             self.column_rotations = _column_rotations(self.relator_cols, self.ncols)
         self.table = [[None] * self.ncols]
@@ -91,8 +92,12 @@ class CosetTable:
         self.total_defined = 1
         self.max_live = 1
         self.closed = False
-        self.standardized = False
+        self.tree = None
         self._deductions = deque()
+
+    @property
+    def subgen_cols(self):
+        return [_word_to_cols(cyclic_reduce(w)) for w in self.subgens]
 
     # -- union-find ---------------------------------------------------------
 
@@ -228,17 +233,19 @@ class CosetTable:
                     break
         return before - self.live
 
+    def _keep_rows(self, order) -> None:
+        """Keep only the rows of the live cosets ``order``, renumbered by
+        their position in it, with entries resolved through rep."""
+        new = {old: i for i, old in enumerate(order)}
+        rep = self.rep
+        self.table = [
+            [None if entry is None else new[rep(entry)] for entry in self.table[old]]
+            for old in order
+        ]
+        self.p = list(range(len(order)))
+
     def _compress(self) -> None:
-        live = self.live_cosets()
-        rename = {old: new for new, old in enumerate(live)}
-        table = []
-        for old in live:
-            table.append([
-                None if entry is None else rename[self.rep(entry)]
-                for entry in self.table[old]
-            ])
-        self.table = table
-        self.p = list(range(len(table)))
+        self._keep_rows(self.live_cosets())
 
     def _run_hlt(self) -> None:
         for cols in self.subgen_cols:
@@ -308,35 +315,39 @@ class CosetTable:
             self._run_hlt()
         else:
             self._run_felsch()
-        self._compress()
+        self._close()
+        return self
+
+    def _close(self) -> None:
+        """The one way a table becomes closed: standardize, then verify."""
         self._standardize()
         self.closed = True
         self.verify_closed()
-        return self
 
     @property
     def index(self) -> int:
         return len(self.table) if self.closed else self.live
 
     def _standardize(self) -> None:
-        """Renumber cosets in breadth-first order over the column order."""
+        """Renumber the live cosets in breadth-first order over the column
+        order, and record the spanning tree of that search: ``tree[beta]``
+        is the entry (coset, column) that first reached coset beta."""
+        rep = self.rep
         order = [0]
         seen = {0}
-        for alpha in order:
-            for col in range(self.ncols):
-                beta = self.table[alpha][col]
+        tree = {}
+        for alpha, old in enumerate(order):
+            for col, entry in enumerate(self.table[old]):
+                if entry is None:
+                    continue
+                beta = rep(entry)
                 if beta not in seen:
                     seen.add(beta)
+                    tree[len(order)] = (alpha, col)
                     order.append(beta)
-        check(len(order) == len(self.table), "closed table is disconnected")
-        rename = {old: new for new, old in enumerate(order)}
-        table = [[None] * self.ncols for _ in order]
-        for old, new in rename.items():
-            for col in range(self.ncols):
-                table[new][col] = rename[self.table[old][col]]
-        self.table = table
-        self.p = list(range(len(table)))
-        self.standardized = True
+        check(len(order) == self.live, "closed table is disconnected")
+        self._keep_rows(order)
+        self.tree = tree
 
     def trace(self, coset: int, word) -> int:
         for col in _word_to_cols(word):
@@ -383,9 +394,6 @@ class CosetTable:
             )
         return "\n".join(lines) + "\n"
 
-    def to_json_summary(self) -> str:
-        return json.dumps(self.summary())
-
 
 def enumerate_cosets(p: Presentation, subgens=(), cap: int = 10**6,
                      strategy: str = "hlt") -> CosetTable:
@@ -415,34 +423,24 @@ def normal_closure_index(p: Presentation, word, cap: int = 10**6,
 def parity_kernel_table(p: Presentation) -> CosetTable:
     """Directly built coset table of the parity (index-4) kernel.
 
-    Cosets are the elements of Z/2 x Z/2, numbered in breadth-first
-    discovery order, which agrees with the standardized form.
+    Cosets are the elements of Z/2 x Z/2, defined in breadth-first order;
+    every generator acts as an involution.  The subgroup generators are the
+    Schreier generators of the closed table, so, like an enumerated
+    table's, they generate the subgroup.
     """
     hom = index4_hom(p)
-    order = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    position = {pair: i for i, pair in enumerate(order)}
-    # Schreier generators of the kernel over the transversal 1, a, b, a*b
-    # (a, b the first generator of each side): like an enumerated table's,
-    # the subgroup generators generate the subgroup.
-    a = (hom.images.index((1, 0)), 1)
-    b = (hom.images.index((0, 1)), 1)
-    rep = {(0, 0): (), (1, 0): (a,), (0, 1): (b,), (1, 1): (a, b)}
-    subgens = [
-        concat(rep[x, y], ((g, 1),), invert_word(rep[(x + dx) % 2, (y + dy) % 2]))
-        for x, y in order for g, (dx, dy) in enumerate(hom.images)
-    ]
-    t = CosetTable(p, subgens)
-    t.table = [[None] * t.ncols for _ in order]
-    t.p = list(range(4))
-    for (x, y), alpha in position.items():
+    t = CosetTable(p)
+    elements = [(0, 0)]
+    for alpha, (x, y) in enumerate(elements):
         for g, (dx, dy) in enumerate(hom.images):
-            beta = position[((x + dx) % 2, (y + dy) % 2)]
-            t.table[alpha][2 * g] = beta
-            t.table[alpha][2 * g + 1] = beta
-    t.live = t.max_live = t.total_defined = 4
-    t.closed = True
-    t.standardized = True
-    t.verify_closed()
+            image = ((x + dx) % 2, (y + dy) % 2)
+            if image not in elements:
+                elements.append(image)
+                t._define(alpha, 2 * g)
+            t.table[alpha][2 * g] = t.table[alpha][2 * g + 1] = elements.index(image)
+    t._close()
+    t.subgens = tuple(schreier_generator_words(p, t))
+    t.verify_closed()  # again, now that there are subgroup generators
     return t
 
 
@@ -497,18 +495,40 @@ class FiniteQuotient:
 
 
 def _transversal_words(table: CosetTable):
-    """Breadth-first Schreier representatives (prefix-closed); coset 0 is
-    the empty word."""
-    reps = {0: ()}
-    order = [0]
-    for alpha in order:
-        for col in range(table.ncols):
-            beta = table.table[alpha][col]
-            if beta not in reps:
-                g, sign = divmod(col, 2)
-                reps[beta] = reps[alpha] + ((g, -1 if sign else 1),)
-                order.append(beta)
-    return [reps[i] for i in range(len(table.table))]
+    """Schreier representatives read off the recorded spanning tree
+    (prefix-closed); coset 0 is the empty word."""
+    reps = [()]
+    for beta in range(1, len(table.table)):
+        alpha, col = table.tree[beta]
+        reps.append(reps[alpha] + ((col >> 1, -1 if col & 1 else 1),))
+    return reps
+
+
+def _schreier_entries(table: CosetTable):
+    """The table entries (coset, g) of the generator columns that are not
+    edges of the spanning tree, in table order: one Schreier generator
+    each.  A tree entry through g^-1 from alpha to beta is the entry
+    (beta, g)."""
+    tree = {
+        (beta, col >> 1) if col & 1 else (alpha, col >> 1)
+        for beta, (alpha, col) in table.tree.items()
+    }
+    return [
+        (coset, g)
+        for coset in range(len(table.table))
+        for g in range(table.ncols // 2)
+        if (coset, g) not in tree
+    ]
+
+
+def schreier_generator_words(p: Presentation, table: CosetTable):
+    """The subgroup generators as words in the parent generators:
+    rep(i) * x * rep(i^x)^-1 for each non-tree entry (i, x)."""
+    reps = _transversal_words(table)
+    return [
+        concat(reps[coset], ((g, 1),), invert_word(reps[table.table[coset][2 * g]]))
+        for coset, g in _schreier_entries(table)
+    ]
 
 
 def quotient_structure(table: CosetTable) -> FiniteQuotient:

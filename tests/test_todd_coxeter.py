@@ -5,6 +5,7 @@ import pytest
 from vhcert.checks import VerificationError
 from vhcert.fpgroups import Presentation, free_reduce, presentation_from_complex
 from vhcert.permgroups import Permutation
+from vhcert.reidemeister_schreier import schreier_generator_words, schreier_transversal
 from vhcert.todd_coxeter import (
     CosetTable,
     EnumerationExhausted,
@@ -196,13 +197,19 @@ def test_strategies_agree_on_random_presentations():
         tables = {}
         for strategy in ("hlt", "felsch"):
             try:
-                tables[strategy] = enumerate_cosets(p, subgens, 1000, strategy).table
+                tables[strategy] = enumerate_cosets(p, subgens, 1000, strategy)
             except EnumerationExhausted:
                 pass
         if len(tables) == 2:
-            assert tables["hlt"] == tables["felsch"], str(p)
+            assert tables["hlt"].table == tables["felsch"].table, str(p)
+            table = tables["hlt"]
+            # the recorded spanning tree reaches every other coset once, and
+            # each transversal word leads from coset 0 to its own coset
+            assert len(table.tree) == table.index - 1
+            words = schreier_transversal(table).words
+            assert [table.trace(0, w) for w in words] == list(range(table.index))
             closed += 1
-            nontrivial += len(tables["hlt"]) > 1
+            nontrivial += table.index > 1
     assert closed >= 200 and nontrivial >= 50
 
 
@@ -301,6 +308,16 @@ def test_parity_kernel_table_matches_enumerated_closure(sigma):
     assert parity_kernel_table(p).table == normal_closure_table(p, w).table
 
 
+def test_parity_kernel_subgroup_generators_are_its_schreier_generators(lam, delta, sigma):
+    # the directly built table carries the Schreier generators of its own
+    # spanning tree, without the trivial words of the tree edges
+    for c in (lam, delta, sigma):
+        p = presentation_from_complex(c)
+        table = parity_kernel_table(p)
+        assert table.subgens == tuple(schreier_generator_words(p, table))
+        assert len(table.subgens) == 4 * len(p.generators) - 3
+
+
 def test_parity_kernel_quotient_is_klein_four(lam, delta, sigma):
     # delta's abelianization is Z^3, so the invariants must come from the
     # kernel's generators, not from the parent presentation alone
@@ -328,8 +345,9 @@ def test_cap_must_be_positive(sigma):
 
 
 def test_verification_survives_optimize_flag():
-    # the closed-table, orbit-stabilizer and Reidemeister-Schreier checks
-    # are raises, not asserts, so python -O keeps them
+    # the closed-table, orbit-stabilizer, Reidemeister-Schreier, local
+    # action and abelian-invariant checks are raises, not asserts, so
+    # python -O keeps them
     import os
     import subprocess
     import sys
@@ -371,6 +389,18 @@ def test_verification_survives_optimize_flag():
         "    subgroup_presentation(odd, parity_kernel_table(p))\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
+        "from vhcert.complexes import Letter\n"
+        "from vhcert.local_actions import LocalPerm\n"
+        "try:\n"
+        "    LocalPerm(Letter('h', 1), {Letter('v', 1): Letter('v', 1),\n"
+        "                               Letter('v', 2): Letter('v', 1)}, {})\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "from vhcert.fpgroups import AbelianInvariants\n"
+        "try:\n"
+        "    AbelianInvariants(0, (4, 2))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
     )
     src = str(Path(vhcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -383,4 +413,6 @@ def test_verification_survives_optimize_flag():
         "VerificationError stabilizer order breaks the orbit-stabilizer identity\n"
         "VerificationError transversal is not prefix-closed\n"
         "VerificationError relator does not close up in the table\n"
+        "VerificationError depth-1 map is not a bijection\n"
+        "VerificationError torsion coefficients must form a divisor chain\n"
     )
