@@ -14,6 +14,11 @@ from vhcert.checks import check
 from vhcert.complexes import HORIZONTAL, SquareComplex
 
 
+# Words are expanded letter by letter, so ``a1^N`` costs memory linear in N;
+# longer words are refused before they are expanded.
+MAX_WORD_LENGTH = 100_000
+
+
 class WordError(ValueError):
     pass
 
@@ -84,11 +89,15 @@ class Presentation:
         )
 
     def parse_word(self, text: str):
-        """Parse word syntax like ``a2*a1^-1*a3*a4^-1`` (also ``a1^3``)."""
+        """Parse word syntax like ``a2*a1^-1*a3*a4^-1`` (also ``a1^3``).
+
+        A word longer than ``MAX_WORD_LENGTH`` letters, counted before free
+        reduction, is refused with ``WordError`` before it is expanded.
+        """
         text = text.strip()
         if text in ("", "1"):
             return ()
-        letters = []
+        powers = []
         for token in text.split("*"):
             base, caret, exp = token.strip().partition("^")
             if base not in self.generators:
@@ -97,10 +106,15 @@ class Presentation:
                 power = int(exp) if caret else 1
             except ValueError:
                 raise WordError(f"bad exponent in token {token!r}") from None
-            g = self.generators.index(base)
-            sign = 1 if power > 0 else -1
-            letters.extend((g, sign) for _ in range(abs(power)))
-        return free_reduce(letters)
+            powers.append((self.generators.index(base), power))
+        length = sum(abs(power) for _, power in powers)
+        if length > MAX_WORD_LENGTH:
+            raise WordError(
+                f"word has {length} letters, more than the limit of {MAX_WORD_LENGTH}"
+            )
+        return free_reduce(
+            (g, 1 if power > 0 else -1) for g, power in powers for _ in range(abs(power))
+        )
 
     def __str__(self):
         rels = ", ".join(self.word_to_string(r) for r in self.relators)

@@ -89,6 +89,8 @@ class SphereIndex:
     def __init__(self, c: SquareComplex, side: str, depth: int, letters=None):
         if depth < 1:
             raise ValueError("sphere depth must be >= 1")
+        if depth > DEFAULT_MAX_DEPTH:
+            raise ValueError(f"sphere depth {depth} exceeds the cap {DEFAULT_MAX_DEPTH}")
         own, other = c.horizontal_letters(), c.vertical_letters()
         if side == VERTICAL:
             own, other = other, own
@@ -124,8 +126,6 @@ def sphere_action(
     Recursion: the image of w1 w2 .. wk under x is depth1_x(w1) followed by
     the image of w2 .. wk under residual_x(w1).
     """
-    if depth > DEFAULT_MAX_DEPTH:
-        raise ValueError(f"sphere depth {depth} exceeds the cap {DEFAULT_MAX_DEPTH}")
     opposite = VERTICAL if x.side == HORIZONTAL else HORIZONTAL
     if sphere is None:
         sphere = SphereIndex(c, opposite, depth)

@@ -1,15 +1,21 @@
 """Coset enumeration over finite presentations.
 
-The default strategy is HLT (relator scanning with definitions) with a
-lookahead pass when the coset cap is reached.  The Felsch strategy
-(``strategy="felsch"``) defines the first empty entry of the first live
-coset and processes a deduction queue: each new entry (alpha, c) is
-followed by scans, without definitions, of the relator rotations through
-it, that is the cyclic rotations of the relators and of their inverses
+Both strategies run one loop over the live cosets, in order, with one
+deduction queue.  Every new entry (alpha, c), whether a definition, a
+scan's single-gap deduction or an entry made by a coincidence, is queued
+and followed by scans, without definitions, of the relator rotations
+through it: the cyclic rotations of the relators and of their inverses
 that begin with column c, read from alpha (precomputed once per table).
-Coincidences are handled by a union-find with an immediately processed
-queue.  Enumeration is a semi-decision procedure: running out of the cap
-yields the resource verdict ``EnumerationExhausted``, never "infinite".
+The strategies differ only in how they choose definitions: HLT (the
+default) first scans every relator from the coset with definitions, then
+both fill the coset's remaining empty entries.  The queue is drained
+after each scan and after each definition.  Coincidences are handled by
+a union-find with an immediately processed queue.
+
+When the coset cap is reached, the queue is drained; if no coset has died
+the enumeration stops with the resource verdict ``EnumerationExhausted``
+(never "infinite"), otherwise the dead rows are compressed away and the
+loop restarts from coset 0.
 
 Every closed table, enumerated or built directly, is finished the same
 way: standardized (the live cosets renumbered breadth-first from coset 0,
@@ -84,8 +90,7 @@ class CosetTable:
         self.strategy = strategy
         self.ncols = 2 * len(presentation.generators)
         self.relator_cols = [ _word_to_cols(r) for r in presentation.relators ]
-        if strategy == "felsch":
-            self.column_rotations = _column_rotations(self.relator_cols, self.ncols)
+        self.column_rotations = _column_rotations(self.relator_cols, self.ncols)
         self.table = [[None] * self.ncols]
         self.p = [0]
         self.live = 1
@@ -110,9 +115,6 @@ class CosetTable:
             p[k], k = lam, p[k]
         return lam
 
-    def is_live(self, k: int) -> bool:
-        return self.p[k] == k
-
     def live_cosets(self):
         return [k for k in range(len(self.table)) if self.p[k] == k]
 
@@ -132,8 +134,7 @@ class CosetTable:
         self.total_defined += 1
         if self.live > self.max_live:
             self.max_live = self.live
-        if self.strategy == "felsch":
-            self._deductions.append((alpha, col))
+        self._deductions.append((alpha, col))
         return beta
 
     def _merge(self, a: int, b: int, queue) -> None:
@@ -155,7 +156,7 @@ class CosetTable:
         p = self.p
         rep = self.rep
         merge = self._merge
-        deductions = self._deductions if self.strategy == "felsch" else None
+        deductions = self._deductions
         queue = deque()
         merge(a, b, queue)
         while queue:
@@ -178,8 +179,7 @@ class CosetTable:
                 else:
                     mu_row[col] = nu
                     nu_row[inv] = mu
-                    if deductions is not None:
-                        deductions.append((mu, col))
+                    deductions.append((mu, col))
 
     def _scan(self, alpha: int, cols, fill: bool) -> None:
         """Scan a relator from alpha; define cosets to close gaps iff fill."""
@@ -212,26 +212,13 @@ class CosetTable:
             if j == i:
                 table[f][col] = b
                 table[b][col ^ 1] = f
-                if self.strategy == "felsch":
-                    self._deductions.append((f, col))
+                self._deductions.append((f, col))
                 return
             if not fill:
                 return
             self._define(f, col)
 
-    # -- strategies ---------------------------------------------------------
-
-    def _lookahead(self) -> int:
-        """Scan everything without defining; returns cosets reclaimed."""
-        before = self.live
-        for alpha in range(len(self.table)):
-            if not self.is_live(alpha):
-                continue
-            for cols in self.relator_cols:
-                self._scan(alpha, cols, fill=False)
-                if not self.is_live(alpha):
-                    break
-        return before - self.live
+    # -- enumeration --------------------------------------------------------
 
     def _keep_rows(self, order) -> None:
         """Keep only the rows of the live cosets ``order``, renumbered by
@@ -243,32 +230,6 @@ class CosetTable:
             for old in order
         ]
         self.p = list(range(len(order)))
-
-    def _compress(self) -> None:
-        self._keep_rows(self.live_cosets())
-
-    def _run_hlt(self) -> None:
-        for cols in self.subgen_cols:
-            self._scan(0, cols, fill=True)
-        alpha = 0
-        while alpha < len(self.table):
-            if self.is_live(alpha):
-                try:
-                    for cols in self.relator_cols:
-                        self._scan(alpha, cols, fill=True)
-                        if not self.is_live(alpha):
-                            break
-                    else:
-                        for col in range(self.ncols):
-                            if self.table[alpha][col] is None:
-                                self._define(alpha, col)
-                except _CapHit:
-                    if self._lookahead() == 0:
-                        raise EnumerationExhausted(self.cap) from None
-                    self._compress()
-                    alpha = 0
-                    continue
-            alpha += 1
 
     def _process_deductions(self) -> None:
         # A deduced entry (alpha, col) can only complete a relator cycle
@@ -290,31 +251,51 @@ class CosetTable:
                 if p[alpha] != alpha:
                     break
 
-    def _run_felsch(self) -> None:
+    def _enumerate(self, scans) -> None:
+        """One pass from coset 0: the subgroup generators are scanned from
+        coset 0, then each live coset scans the relators in ``scans`` with
+        definitions and fills its remaining empty entries.  The deduction
+        queue is drained after each scan and after each definition."""
+        table = self.table
+        p = self.p
+        scan = self._scan
+        drain = self._process_deductions
         for cols in self.subgen_cols:
-            self._scan(0, cols, fill=True)
-        self._process_deductions()
+            scan(0, cols, True)
+            drain()
         alpha = 0
-        while alpha < len(self.table):
-            if self.is_live(alpha):
-                for col in range(self.ncols):
-                    if not self.is_live(alpha):
-                        break
-                    if self.table[alpha][col] is None:
-                        try:
-                            self._define(alpha, col)
-                        except _CapHit:
-                            raise EnumerationExhausted(self.cap) from None
-                        self._process_deductions()
+        while alpha < len(table):
+            for cols in scans:
+                if p[alpha] != alpha:
+                    break
+                scan(alpha, cols, True)
+                drain()
+            row = table[alpha]
+            for col in range(self.ncols):
+                if p[alpha] != alpha:
+                    break
+                if row[col] is None:
+                    self._define(alpha, col)
+                    drain()
             alpha += 1
 
     # -- closure ------------------------------------------------------------
 
     def run(self) -> "CosetTable":
-        if self.strategy == "hlt":
-            self._run_hlt()
-        else:
-            self._run_felsch()
+        # The only difference between the strategies: HLT scans the
+        # relators from each coset with definitions, Felsch does not.
+        scans = self.relator_cols if self.strategy == "hlt" else ()
+        while True:
+            try:
+                self._enumerate(scans)
+                break
+            except _CapHit:
+                # Drain first: queued entries hold row numbers that
+                # compression would make stale.
+                self._process_deductions()
+                if self.live == len(self.table):
+                    raise EnumerationExhausted(self.cap) from None
+                self._keep_rows(self.live_cosets())
         self._close()
         return self
 

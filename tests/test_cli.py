@@ -131,6 +131,15 @@ def test_closure_index_exhausted_exit_two(capsys, sigma_path):
     assert "unknown" in out
 
 
+def test_huge_exponent_exit_one(capsys, sigma_path):
+    # refused before the word is expanded, with one line on stderr
+    code = main(["closure-index", sigma_path, "--word", "a1^99999999999999999999"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_quotient(capsys, sigma_path):
     code, out = run(capsys, "quotient", sigma_path, "--word", WORD, "--json")
     assert code == 0

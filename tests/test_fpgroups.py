@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vhcert.fpgroups import (
+    MAX_WORD_LENGTH,
     AbelianInvariants,
     Presentation,
     WordError,
@@ -57,6 +58,17 @@ def test_word_parsing_round_trip(sigma):
     assert p.parse_word("1") == ()
     with pytest.raises(WordError):
         p.parse_word("z9")
+
+
+def test_word_length_is_bounded_before_expansion(sigma):
+    p = presentation_from_complex(sigma)
+    assert len(p.parse_word(f"a1^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+    # counted before free reduction, over all tokens
+    with pytest.raises(WordError, match="limit"):
+        p.parse_word(f"a1^{MAX_WORD_LENGTH}*a1^-1")
+    # expanding this one would exhaust memory
+    with pytest.raises(WordError, match="limit"):
+        p.parse_word("a1^99999999999999999999")
 
 
 def test_presentation_counts(lam, delta, sigma):

@@ -111,6 +111,21 @@ def test_depth_cap():
         sphere_action(lam, Letter("h", 1), 4)
 
 
+def test_depth_cap_refuses_before_building_the_sphere(sigma, monkeypatch):
+    # a sphere starts with the depth-1 actions of the other side; a
+    # refused depth must not get that far (depth 4 on sigma has 15,972 words)
+    import vhcert.local_actions as la
+
+    built = []
+    monkeypatch.setattr(la, "local_perm", lambda c, x: built.append(x))
+    for side in ("h", "v"):
+        with pytest.raises(ValueError, match="cap"):
+            local_group(sigma, side, 4)
+    with pytest.raises(ValueError, match="cap"):
+        sphere_action(sigma, Letter("h", 1), 4)
+    assert built == []
+
+
 def test_local_group_orders_depth1(lam, sigma):
     assert local_group(lam, "v", 1).order == 360
     assert local_group(lam, "h", 1).order == 360

@@ -165,15 +165,30 @@ def test_witness_closure_counters(sigma, witness_closures):
     # exact work counts: they move only if the order of definitions,
     # deductions and coincidences does
     assert [t.summary() for t in witness_closures.values()] == [
-        {"index": 4, "strategy": "hlt", "max_live": 58459, "total_defined": 62002},
+        {"index": 4, "strategy": "hlt", "max_live": 5206, "total_defined": 5289},
         {"index": 4, "strategy": "felsch", "max_live": 4940, "total_defined": 5008},
     ]
-    # the cap forces HLT through lookahead and compression
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")
-    assert normal_closure_table(p, w, cap=20000).summary() == {
-        "index": 4, "strategy": "hlt", "max_live": 19067, "total_defined": 20000,
-    }
+    # a cap between peak live and total defined: the cap path compresses
+    # dead rows away and the table still closes
+    for strategy, cap in (("hlt", 5250), ("felsch", 5000)):
+        table = normal_closure_table(p, w, cap=cap, strategy=strategy)
+        assert table.index == 4
+        assert table.max_live < cap < table.total_defined
+    # a cap below peak live: both strategies exhaust
+    for strategy in ("hlt", "felsch"):
+        with pytest.raises(EnumerationExhausted):
+            normal_closure_table(p, w, cap=4900, strategy=strategy)
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_cap_hit_in_subgroup_generator_scan_is_exhaustion(strategy):
+    # the cap is reached while scanning a subgroup generator from coset 0;
+    # callers must see the public resource verdict
+    p = pres(["x", "y"], "x^3")
+    with pytest.raises(EnumerationExhausted):
+        enumerate_cosets(p, [p.parse_word("y*x*y*x*y^-1")], cap=2, strategy=strategy)
 
 
 def _random_word(rng, ngens, lo, hi):
