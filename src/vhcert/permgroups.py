@@ -320,10 +320,8 @@ class PermGroup:
             _mul(p, q) == _mul(q, p) for i, p in enumerate(gens) for q in gens[i + 1:]
         )
 
-    def elements(self, limit: int | None = None):
+    def elements(self):
         """Full element list via breadth-first closure (deterministic order)."""
-        if limit is not None and self.order > limit:
-            raise PermutationError(f"group order {self.order} exceeds limit {limit}")
         ident = _identity(self.degree)
         gens = [g.images for g in self.generators]
         seen = {ident}
@@ -386,6 +384,8 @@ def _restrict_to_moved(group: PermGroup):
     )
     if not moved:
         return None, 0
+    if len(moved) == group.degree:
+        return group, group.degree
     position = {p: i for i, p in enumerate(moved)}
     gens = [
         Permutation(tuple(position[g.images[p]] for p in moved))

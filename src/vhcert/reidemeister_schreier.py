@@ -10,11 +10,16 @@ k*g - (k-1) generators and k*r relators before any simplification.
 The Tietze simplifier applies only moves that remove one generator
 together with one relator (eliminating a generator that occurs exactly
 once in some relator), plus free/cyclic reduction, so the difference
-(#relators - #generators) is conserved move by move.
+(#relators - #generators) is conserved move by move.  It works on the
+input's generator ids and relator positions throughout, keeps one count
+of generator occurrences per relator, rewrites only the relators in which
+an eliminated generator occurs, and renumbers the survivors once, in
+order, at the end.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from vhcert.checks import check
@@ -23,7 +28,6 @@ from vhcert.fpgroups import (
     abelianization,
     concat,
     cyclic_reduce,
-    free_reduce,
     invert_word,
 )
 # schreier_generator_words lives beside the tree it reads and is public here too
@@ -104,32 +108,28 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
     return Presentation.build(names, relators)
 
 
-def _occurrences(rel, gen):
-    return sum(1 for g, _ in rel if g == gen)
-
-
 def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Presentation:
     """Eliminate generators occurring exactly once in some relator.
 
-    Policy: among all (generator, defining relator) candidates take the
-    shortest defining relator, ties broken by lowest generator id; skip a
-    candidate if substituting it would push the total relator length past
-    the budget.  Every applied move removes one generator and one relator,
-    so #relators - #generators never changes; relators are kept freely and
-    cyclically reduced throughout.  Deterministic for fixed limits.
+    Policy, in input ids: among all (generator, defining relator)
+    candidates take the shortest defining relator, ties broken by lowest
+    generator id, then by relator position; skip a candidate if
+    substituting it would push the total relator length past the budget.
+    Every applied move removes one generator and one relator, so
+    #relators - #generators never changes.  Deterministic for fixed limits.
     """
-    names = list(p.generators)
-    relators = [cyclic_reduce(r) for r in p.relators]
+    names = dict(enumerate(p.generators))
+    relators = dict(enumerate(p.relators))
+    counts = {idx: Counter(g for g, _ in rel) for idx, rel in relators.items()}
 
     while True:
         balance = len(relators) - len(names)
         candidates = sorted(
-            (len(rel), gen, idx)
-            for idx, rel in enumerate(relators)
-            for gen in {g for g, _ in rel}
-            if _occurrences(rel, gen) == 1
+            (len(relators[idx]), gen, idx)
+            for idx, count in counts.items()
+            for gen, n in count.items()
+            if n == 1
         )
-        applied = False
         for length, gen, idx in candidates:
             rel = relators[idx]
             pos = next(i for i, (g, _) in enumerate(rel) if g == gen)
@@ -139,34 +139,31 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
             if e < 0:
                 replacement = invert_word(replacement)
             grown = sum(
-                len(r) + _occurrences(r, gen) * (len(replacement) - 1)
-                for j, r in enumerate(relators)
+                len(relators[j]) + count[gen] * (len(replacement) - 1)
+                for j, count in counts.items()
                 if j != idx
             )
             if grown > total_length_budget:
                 continue
-
-            def substitute(word):
-                out = []
-                for g, s in word:
-                    if g == gen:
-                        out.extend(replacement if s > 0 else invert_word(replacement))
-                    else:
-                        out.append((g, s))
-                return free_reduce(out)
-
-            relators = [
-                cyclic_reduce(substitute(r)) for j, r in enumerate(relators) if j != idx
-            ]
-            del names[gen]
-            remap = lambda g: g if g < gen else g - 1
-            relators = [tuple((remap(g), s) for g, s in r) for r in relators]
+            del names[gen], relators[idx], counts[idx]
+            images = {1: replacement, -1: invert_word(replacement)}
+            for j, count in counts.items():
+                if gen in count:
+                    relators[j] = cyclic_reduce(
+                        letter
+                        for g, s in relators[j]
+                        for letter in (images[s] if g == gen else ((g, s),))
+                    )
+                    counts[j] = Counter(g for g, _ in relators[j])
             check(len(relators) - len(names) == balance,
                   "Tietze move changed #relators - #generators")
-            applied = True
             break
-        if not applied:
-            return Presentation.build(tuple(names), tuple(relators))
+        else:
+            new_id = {gen: i for i, gen in enumerate(names)}
+            return Presentation.build(
+                names.values(),
+                [tuple((new_id[g], s) for g, s in rel) for rel in relators.values()],
+            )
 
 
 def is_perfect(p: Presentation) -> bool:

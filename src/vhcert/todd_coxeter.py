@@ -10,7 +10,10 @@ The strategies differ only in how they choose definitions: HLT (the
 default) first scans every relator from the coset with definitions, then
 both fill the coset's remaining empty entries.  The queue is drained
 after each scan and after each definition.  Coincidences are handled by
-a union-find with an immediately processed queue.
+a union-find with an immediately processed queue.  A generator that is a
+relator of length 1 is the identity on every coset: its entries are set,
+and queued, when the coset is created, since no deduction through
+another entry would reach them.
 
 When the coset cap is reached, the queue is drained; if no coset has died
 the enumeration stops with the resource verdict ``EnumerationExhausted``
@@ -91,6 +94,12 @@ class CosetTable:
         self.ncols = 2 * len(presentation.generators)
         self.relator_cols = [ _word_to_cols(r) for r in presentation.relators ]
         self.column_rotations = _column_rotations(self.relator_cols, self.ncols)
+        # Generator columns whose generator is a relator of length 1: each
+        # new coset maps itself there in both directions, queued as a
+        # deduction, since no deduction through another entry reaches them.
+        self.identity_cols = tuple(sorted(
+            {2 * g for r in presentation.relators if len(r) == 1 for g, _ in r}
+        ))
         self.table = [[None] * self.ncols]
         self.p = [0]
         self.live = 1
@@ -99,6 +108,9 @@ class CosetTable:
         self.closed = False
         self.tree = None
         self._deductions = deque()
+        for col in self.identity_cols:
+            self.table[0][col] = self.table[0][col ^ 1] = 0
+            self._deductions.append((0, col))
 
     @property
     def subgen_cols(self):
@@ -126,6 +138,10 @@ class CosetTable:
         if beta >= self.cap:
             raise _CapHit
         row = [None] * self.ncols
+        # as for coset 0 in __init__, inline here on the hot path
+        for c in self.identity_cols:
+            row[c] = row[c ^ 1] = beta
+            self._deductions.append((beta, c))
         row[col ^ 1] = alpha
         table.append(row)
         self.p.append(beta)

@@ -1,5 +1,9 @@
+import hashlib
 import random
 
+import pytest
+
+from vhcert import corpus
 from vhcert.fpgroups import (
     Presentation,
     abelianization,
@@ -147,6 +151,27 @@ def test_tietze_preserves_relator_generator_difference(sigma):
     assert raw_diff == 59
     assert len(simplified.relators) - len(simplified.generators) == raw_diff
     assert len(simplified.generators) <= 10
+
+
+# (generators, total length, sha256 of str()) of the simplified parity kernel
+TIETZE_PINS = {
+    ("lambda", 10_000): (3, 968, "4f25bd017a5bad4a3d017bd672b7775dc55aa70abaab291ad6069d1d175263e5"),
+    ("lambda", 500): (5, 326, "c5d04efddc209139253b1a22905c4a13f7ab48b8f44a3e38c42c2082b939fc09"),
+    ("delta", 10_000): (5, 2134, "46e06b662ec31a105fed43a79197b157b6e4a20da0b4411174aa5df8f397f8b5"),
+    ("delta", 500): (7, 408, "b95434f4646b52a4b78f8628b84de5ab2a5b4c82356658963e450b7107fe2057"),
+    ("sigma", 10_000): (5, 6554, "a753ff23cfcbbd2f81703be327e98fe8efb329852650e450297fef2ea1b72ebe"),
+    ("sigma", 500): (19, 490, "e16c64d9ce6c60b3d1bb69ae575701a5e98adb0afd6adc75fccf082090f5d463"),
+}
+
+
+@pytest.mark.parametrize("name, budget", sorted(TIETZE_PINS))
+def test_tietze_output_is_pinned(name, budget):
+    # the default budget and 500, where the budget skips candidates
+    p = presentation_from_complex(corpus.load(name))
+    sub = subgroup_presentation(p, parity_kernel_table(p))
+    simplified = tietze_simplify(sub, total_length_budget=budget)
+    digest = hashlib.sha256(str(simplified).encode()).hexdigest()
+    assert (len(simplified.generators), simplified.total_length(), digest) == TIETZE_PINS[name, budget]
 
 
 def test_tietze_preserves_abelianization(sigma, lam):

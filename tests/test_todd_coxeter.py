@@ -191,6 +191,16 @@ def test_cap_hit_in_subgroup_generator_scan_is_exhaustion(strategy):
         enumerate_cosets(p, [p.parse_word("y*x*y*x*y^-1")], cap=2, strategy=strategy)
 
 
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_length_one_relator_closes_at_a_tight_cap(strategy):
+    # y = 1 is known on every coset as soon as the coset exists, so y^-2*x
+    # gives x = 1 without defining cosets along y
+    p = pres(["x", "y"], "x^3", "y^6", "y^-2*x", "y^-1")
+    table = enumerate_cosets(p, cap=2, strategy=strategy)
+    assert table.index == 1
+    assert table.total_defined == 2
+
+
 def _random_word(rng, ngens, lo, hi):
     return free_reduce(
         [(rng.randrange(ngens), rng.choice((1, -1))) for _ in range(rng.randint(lo, hi))]
