@@ -36,6 +36,7 @@ from vhcert.local_actions import local_group
 from vhcert.permgroups import (
     SIMPLICITY_BOUND,
     PermGroup,
+    is_k_transitive,
     point_stabilizer,
     recognize,
     recognized_simplicity,
@@ -203,9 +204,7 @@ def nst_check(c: Analysis | SquareComplex) -> Step:
         stab = point_stabilizer(group, 0)
         stab_name = recognize(stab)
         simple = recognized_simplicity(stab, stab_name, SIMPLICITY_BOUND)
-        # is_k_transitive(group, 2), reusing the stabilizer of point 0
-        d = group.degree
-        transitive = len(group.orbit(0)) == d and len(stab.orbit(1)) == d - 1
+        transitive = is_k_transitive(group, 2)
         values[f"{label}_order"] = group.order
         values[f"{label}_recognition"] = a.recognize(group)
         values[f"{label}_2transitive"] = transitive

@@ -367,6 +367,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "cap", 1) < 1 or getattr(args, "budget", 1) < 1:
         parser.error("caps and budgets must be positive")
+    if getattr(args, "m", 1) < 1 or getattr(args, "n", 1) < 1:
+        parser.error("--m and --n must be positive")
     try:
         analysis = _load(args.path) if "path" in args else None
         return _COMMANDS[args.command](args, analysis)

@@ -1,6 +1,13 @@
 """Exact permutation groups: BSGS orders, stabilizers, transitivity,
 recognition of the simple groups the certificate chain needs.
 
+Transitivity and recognition are read off the group's own stabilizer
+chain: for any base b_0, b_1, ..., G is k-transitive on d points iff
+level i's orbit has d - i points for every i < k (a level past the end
+of the base counts as 1), since that orbit lies among the d - i points
+other than b_0..b_(i-1).  Only ``point_stabilizer`` builds a second
+group, and it cross-checks the chain by the orbit-stabilizer identity.
+
 Permutations are dense image tuples on 0..d-1 internally; cycle notation
 (the only 1-based surface) is used for parsing and printing, e.g.
 ``(1,2)(4,5)(6,8,7)``.
@@ -364,56 +371,44 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     return stab
 
 
+def _transitive_along_chain(group: PermGroup, k: int, points: int) -> bool:
+    """The chain test of the module docstring, on ``points`` points."""
+    sizes = [len(lvl.orbit) for lvl in group._levels] + [1] * k
+    return all(sizes[i] == points - i for i in range(k))
+
+
 def is_k_transitive(group: PermGroup, k: int) -> bool:
-    """Transitivity on ordered k-tuples, via iterated point stabilizers."""
+    """Transitivity on ordered k-tuples, read off the group's own BSGS.
+
+    G is k-transitive on d points iff, for every i < k, level i's orbit
+    has d - i points (HEO ch. 4); no stabilizer is built.
+    """
     if k > group.degree:
         raise PermutationError(f"k={k} exceeds degree {group.degree}")
-    current = group
-    for point in range(k):
-        if point:
-            current = point_stabilizer(current, point - 1)
-        if len(current.orbit(point)) != group.degree - point:
-            return False
-    return True
-
-
-def _restrict_to_moved(group: PermGroup):
-    """Action on the union of generator supports, relabelled to 0..dm-1."""
-    moved = sorted(
-        {p for g in group.generators for p in g.moved_points()}
-    )
-    if not moved:
-        return None, 0
-    if len(moved) == group.degree:
-        return group, group.degree
-    position = {p: i for i, p in enumerate(moved)}
-    gens = [
-        Permutation(tuple(position[g.images[p]] for p in moved))
-        for g in group.generators
-    ]
-    return PermGroup(gens, degree=len(moved)), len(moved)
+    return _transitive_along_chain(group, k, group.degree)
 
 
 def recognize(group: PermGroup) -> str:
-    """Identify the group on its moved points.
+    """Identify the group on its d moved points.
 
-    Returns 'Alt(d)', 'Sym(d)', 'M11', 'M12' or 'other(<order>)'.  The
-    Mathieu recognitions use the sharp transitivity degrees together with
-    the exact orders; Alt/Sym use order plus generator parity.
+    Returns 'Alt(d)', 'Sym(d)', 'M11', 'M12' or 'other(<order>)'.  Alt/Sym
+    use the order plus generator parity; M11 and M12 the exact orders and
+    sharp transitivity degrees.  Base points are moved points and every
+    level orbit stays among them, so the chain test with d points in place
+    of the degree decides transitivity on the moved points: no restricted
+    copy of the group is built.
     """
-    restricted, dm = _restrict_to_moved(group)
-    if restricted is None:
+    dm = len({p for g in group.generators for p in g.moved_points()})
+    if not dm:
         return "other(1)"
-    order = restricted.order
+    order = group.order
     if order == math.factorial(dm):
         return f"Sym({dm})"
-    if order == math.factorial(dm) // 2 and all(
-        g.is_even() for g in restricted.generators
-    ):
+    if order == math.factorial(dm) // 2 and all(g.is_even() for g in group.generators):
         return f"Alt({dm})"
-    if dm == 12 and order == 95040 and is_k_transitive(restricted, 5):
+    if dm == 12 and order == 95040 and _transitive_along_chain(group, 5, dm):
         return "M12"
-    if dm == 11 and order == 7920 and is_k_transitive(restricted, 4):
+    if dm == 11 and order == 7920 and _transitive_along_chain(group, 4, dm):
         return "M11"
     return f"other({order})"
 

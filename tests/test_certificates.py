@@ -224,8 +224,7 @@ def test_certificate_computes_each_fact_once(sigma, monkeypatch):
     assert links == [sigma]
     assert sorted(groups) == [("h", 1), ("v", 1), ("v", 2)]
     assert len({id(g) for g in recognized}) == len(recognized) == 4
-    # 3 local groups, 2 depth-1 point stabilizers (2-transitivity reuses
-    # them), one restriction per recognition of a group with fixed points
-    # (v1 and h1 move every point, so they are recognized as they are) and
-    # 3 + 4 stabilizers in the M11 / M12 transitivity checks
-    assert len(builds) == 14
+    # 3 local groups and the 2 depth-1 point stabilizers of NST; recognition
+    # and 2-transitivity read the groups' own chains, so there are no
+    # restrictions to moved points and no transitivity stabilizers
+    assert len(builds) == 5

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vhcert import corpus
 from vhcert.cli import main
+from vhcert.complexes import ComplexError, parse_complex
 
 DATA = Path(__file__).parent / "data"
 WORD = "a2*a1^-1*a3*a4^-1"
@@ -184,6 +188,13 @@ def test_amalgam(capsys):
     assert ranks == {(7, 73, 7), (11, 81, 11)}
 
 
+@pytest.mark.parametrize("m, n", [("0", "1"), ("-3", "2"), ("2", "0")])
+def test_amalgam_nonpositive_exit_64(capsys, m, n):
+    code, err = usage_error(capsys, "amalgam", "--m", m, "--n", n)
+    assert code == 64
+    assert err.count("\n") == 1 and "--m and --n must be positive" in err
+
+
 def test_simple_cert_matches_golden(capsys, sigma_path):
     code, out = run(capsys, "simple-cert", sigma_path,
                     "--word", WORD, "--assume-nrf", "--json")
@@ -249,3 +260,68 @@ def test_directory_path_exit_64(capsys, corpus_dir):
     captured = capsys.readouterr()
     assert code == 64
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+TOKENS = ["complex", "horizontal", "vertical", "square", "a1", "a2", "b1", "b2",
+          "a1^-1", "b1^-1", "b2^-1", "a1^2", "^-1", "^", "#", "x", "0", ""]
+
+
+def _corpus_variants(name):
+    """The complex's header with its squares reordered (link-valid), or
+    with a random selection of them, repeats allowed (link usually fails)."""
+    lines = corpus.text(name).splitlines()
+    squares = [line for line in lines if line.startswith("square")]
+    header = [line for line in lines if line not in squares]
+    picked = st.one_of(st.permutations(squares),
+                       st.lists(st.sampled_from(squares), max_size=len(squares)))
+    return picked.map(lambda chosen: "\n".join(header + list(chosen)))
+
+
+token_soup = st.lists(
+    st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join), max_size=12
+).map("\n".join)
+corpus_variants = st.sampled_from(corpus.NAMES).flatmap(_corpus_variants)
+file_texts = st.one_of(st.text(max_size=200), token_soup, corpus_variants)
+file_contents = st.one_of(st.binary(max_size=200), file_texts.map(str.encode))
+
+
+@settings(max_examples=150, deadline=None)
+@given(file_texts)
+@example(corpus.text("sigma"))
+def test_parse_complex_raises_only_complex_error(text):
+    try:
+        parse_complex(text)
+    except ComplexError:
+        pass
+
+
+def quiet_exit_code(argv):
+    """Exit code of ``main(argv)``, argparse exits included; stdout and
+    stderr are swallowed, and any other exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.vh"
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=file_contents,
+       argv=st.sampled_from([["check-link"], ["euler"], ["abelianize"],
+                             ["local", "--depth", "1"]]))
+@example(content=corpus.text("lambda").encode(), argv=["local", "--depth", "1"])
+def test_cli_survives_any_file(fuzz_path, content, argv):
+    fuzz_path.write_bytes(content)
+    assert quiet_exit_code([argv[0], str(fuzz_path), *argv[1:]]) in (0, 1, 2, 64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(), st.integers())
+def test_cli_amalgam_survives_any_integers(m, n):
+    assert quiet_exit_code(["amalgam", "--m", str(m), "--n", str(n)]) in (0, 64)

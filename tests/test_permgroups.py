@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from vhcert import corpus
 from vhcert.local_actions import local_group
 from vhcert.permgroups import (
     Permutation,
@@ -229,3 +230,69 @@ def test_conjugacy_class_reps_cover_group():
     s3 = bsgs_build([perm("(1,2)", 3), perm("(1,2,3)")])
     reps = conjugacy_class_reps(s3)
     assert len(reps) == 2  # transpositions and 3-cycles
+
+
+def sympy_group(group):
+    """The same generators as a sympy group, for an independent Schreier-Sims."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup([
+        combinatorics.Permutation(list(g.images)) for g in group.generators
+    ])
+
+
+def _random_group(rng):
+    """Up to 3 generators, each shuffling a random subset of the points, so
+    that intransitive groups and fixed points are common."""
+    degree = rng.randint(2, 7)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(range(degree), rng.randint(0, degree))
+        images = list(range(degree))
+        for x, y in zip(support, rng.sample(support, len(support))):
+            images[x] = y
+        gens.append(Permutation(images))
+    return bsgs_build(gens)
+
+
+def test_k_transitivity_matches_sympy_on_random_groups():
+    rng = random.Random(7321)
+    degrees = set()
+    for _ in range(300):
+        group = _random_group(rng)
+        top = sympy_group(group).transitivity_degree
+        degrees.add(top)
+        for k in range(group.degree + 1):
+            assert is_k_transitive(group, k) == (k <= top), (group.generators, k)
+    # intransitive groups and 5-transitive ones both occur
+    assert 0 in degrees and max(degrees) >= 5
+
+
+def test_recognize_padded_conjugated_m12(sigma):
+    m12 = local_group(sigma, "h", 1)
+    rng = random.Random(14)
+    images = list(range(14))
+    rng.shuffle(images)
+    w = Permutation(images)
+    padded = [Permutation(g.images + (12, 13)) for g in m12.generators]
+    group = bsgs_build([w.inverse() * g * w for g in padded])
+    assert recognize(group) == "M12"
+    assert not is_k_transitive(group, 1)
+    stab = point_stabilizer(group, images[0])
+    assert recognize(stab) == "M11"
+    assert (sympy_group(group).order(), sympy_group(stab).order()) == (95040, 7920)
+
+
+CORPUS_GROUPS = [
+    (name, side, depth)
+    for name in corpus.NAMES for side in ("h", "v") for depth in (1, 2)
+    if (name, side, depth) != ("sigma", "h", 2)
+]
+
+
+@pytest.mark.parametrize("name, side, depth", CORPUS_GROUPS)
+def test_corpus_local_group_matches_sympy(name, side, depth):
+    group = local_group(corpus.load(name), side, depth)
+    reference = sympy_group(group)
+    assert group.order == reference.order()
+    if depth == 1:
+        assert is_k_transitive(group, 2) == (reference.transitivity_degree >= 2)
