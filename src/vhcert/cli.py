@@ -26,6 +26,7 @@ from vhcert.certificates import (
 from vhcert.complexes import ComplexError, euler_characteristic, parse_complex
 from vhcert.fpgroups import WordError, abelianization
 from vhcert.local_actions import DEFAULT_MAX_DEPTH
+from vhcert.permgroups import Permutation
 from vhcert.reidemeister_schreier import (
     is_perfect,
     subgroup_presentation,
@@ -116,8 +117,8 @@ def cmd_local(args, a: Analysis) -> int:
         group = a.local_group(side, args.depth)
         actors = c.vnames if side == "h" else c.hnames
         gens = [
-            {"actor": actor, "cycles": perm.cycle_string()}
-            for actor, perm in zip(actors, group.generators)
+            {"actor": actor, "cycles": Permutation(images).cycle_string()}
+            for actor, images in zip(actors, group.generators)
         ]
         entry = {
             "side": side,

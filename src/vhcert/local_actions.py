@@ -151,6 +151,14 @@ def local_group(
     The vertical local group is generated by the actions of a_1..a_m on
     the vertical tree, the horizontal one by b_1..b_n on the horizontal
     tree.
+
+    Orders grow between two bounds.  Restriction to the smaller sphere maps
+    P^(k) onto P^(k-1), so |P^(k-1)| divides |P^(k)|.  Its kernel fixes the
+    (k-1)-ball, and at each of the d(d-1)^(k-2) vertices of the
+    (k-1)-sphere it acts through the stabilizer in P^(1) of the letter back
+    to the parent, so |P^(k)| <= |P^(k-1)| * s^(d(d-1)^(k-2)) with s the
+    largest point-stabilizer order of P^(1) (all point stabilizers have
+    that order when P^(1) is transitive).
     """
     if side not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"side must be 'h' or 'v', not {side!r}")

@@ -1,16 +1,20 @@
 """Exact permutation groups: BSGS orders, stabilizers, transitivity,
 recognition of the simple groups the certificate chain needs.
 
+Elements are image tuples of 0..d-1 throughout.  ``PermGroup(...)`` and
+``x in group`` also take a ``Permutation`` or an image sequence and
+validate it; everything stored or returned is an image tuple.
+``Permutation`` is for parsing, printing and user-side arithmetic; its
+cycle notation, e.g. ``(1,2)(4,5)(6,8,7)``, is the only 1-based surface.
+One orbit routine (``_orbit_grow``) builds every transversal and one
+``_sift`` serves Schreier-Sims, membership and ``normal_closure``.
+
 Transitivity and recognition are read off the group's own stabilizer
 chain: for any base b_0, b_1, ..., G is k-transitive on d points iff
 level i's orbit has d - i points for every i < k (a level past the end
 of the base counts as 1), since that orbit lies among the d - i points
 other than b_0..b_(i-1).  Only ``point_stabilizer`` builds a second
 group, and it cross-checks the chain by the orbit-stabilizer identity.
-
-Permutations are dense image tuples on 0..d-1 internally; cycle notation
-(the only 1-based surface) is used for parsing and printing, e.g.
-``(1,2)(4,5)(6,8,7)``.
 
 Orders are computed by a deterministic Schreier-Sims run (no
 randomization, base points chosen as first moved points) and are exact
@@ -50,6 +54,27 @@ def _identity(degree):
     return tuple(range(degree))
 
 
+def _cycles(images):
+    """Nontrivial cycles as 0-based tuples, each starting at its minimum."""
+    seen = set()
+    out = []
+    for i, j in enumerate(images):
+        if i in seen or j == i:
+            continue
+        cyc = [i]
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = images[j]
+        out.append(tuple(cyc))
+    return out
+
+
+def _images(g):
+    """The image tuple of a Permutation or image sequence, validated."""
+    return (g if isinstance(g, Permutation) else Permutation(g)).images
+
+
 class Permutation:
     """Bijection on d points, stored as the image tuple of 0..d-1."""
 
@@ -82,27 +107,9 @@ class Permutation:
     def __hash__(self):
         return hash(self.images)
 
-    def moved_points(self):
-        return [i for i, j in enumerate(self.images) if i != j]
-
     def cycles(self):
         """Nontrivial cycles as 0-based tuples, each starting at its minimum."""
-        seen = set()
-        out = []
-        for i in range(self.degree):
-            if i in seen or self.images[i] == i:
-                continue
-            cyc = [i]
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen.add(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
-
-    def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        return _cycles(self.images)
 
     def cycle_string(self) -> str:
         """1-based disjoint-cycle notation, '()' for the identity."""
@@ -149,8 +156,10 @@ class Permutation:
 # Schreier-Sims
 
 
-def _orbit_grow(orbit, base_pt, all_gens, fresh_gens, degree):
-    """Extend transversal dict pt -> (u, u_inv) by the fresh generators.
+def _orbit_grow(orbit, base_pt, gens, fresh, degree):
+    """Extend transversal dict pt -> (u, u_inv) by the last ``fresh`` of
+    ``gens``, breadth first: known points meet only the fresh generators,
+    new points all of them.
 
     Existing entries are never rewritten, so Schreier generators already
     sifted against them stay valid.  Returns the (pt, gen index) pairs that
@@ -160,28 +169,29 @@ def _orbit_grow(orbit, base_pt, all_gens, fresh_gens, degree):
     if not orbit:
         ident = _identity(degree)
         orbit[base_pt] = (ident, ident)
-    fresh_offset = len(all_gens) - len(fresh_gens)
-    new_pts = deque()
-    for pt in list(orbit):
+    queue = deque((pt, len(gens) - fresh) for pt in orbit)
+    while queue:
+        pt, first = queue.popleft()
         u = orbit[pt][0]
-        for k, s in enumerate(fresh_gens):
+        for k, s in enumerate(gens[first:], first):
             image = s[pt]
             if image not in orbit:
                 v = _mul(u, s)
                 orbit[image] = (v, _inv(v))
-                new_pts.append(image)
-                tree_pairs.append((pt, fresh_offset + k))
-    while new_pts:
-        pt = new_pts.popleft()
-        u = orbit[pt][0]
-        for k, s in enumerate(all_gens):
-            image = s[pt]
-            if image not in orbit:
-                v = _mul(u, s)
-                orbit[image] = (v, _inv(v))
-                new_pts.append(image)
+                queue.append((image, 0))
                 tree_pairs.append((pt, k))
     return tree_pairs
+
+
+def _sift(g, base, levels, start=0):
+    """Strip ``g`` through levels ``start``.. of a chain; returns the residue
+    and the level where it left the orbits (``len(base)`` if it never did)."""
+    for l in range(start, len(base)):
+        entry = levels[l].orbit.get(g[base[l]])
+        if entry is None:
+            return g, l
+        g = _mul(g, entry[1])
+    return g, len(base)
 
 
 class _Level:
@@ -209,16 +219,8 @@ def _schreier_sims(raw_gens, degree):
     def add_at(level_idx, g):
         lvl = levels[level_idx]
         lvl.gens.append(g)
-        for pair in _orbit_grow(lvl.orbit, base[level_idx], lvl.gens, [g], degree):
+        for pair in _orbit_grow(lvl.orbit, base[level_idx], lvl.gens, 1, degree):
             lvl.done.add(pair)
-
-    def sift(g, start):
-        for l in range(start, len(base)):
-            entry = levels[l].orbit.get(g[base[l]])
-            if entry is None:
-                return g, l
-            g = _mul(g, entry[1])
-        return g, len(base)
 
     seen = set()
     for g in raw_gens:
@@ -245,7 +247,7 @@ def _schreier_sims(raw_gens, degree):
                 if schreier == ident:
                     lvl.done.add((pt, k))
                     continue
-                h, j = sift(schreier, level_idx + 1)
+                h, j = _sift(schreier, base, levels, level_idx + 1)
                 if h == ident:
                     lvl.done.add((pt, k))
                     continue
@@ -268,81 +270,66 @@ def _schreier_sims(raw_gens, degree):
     return base, levels
 
 
-def _orbit_transversal(gens, start, degree):
-    """Plain orbit of ``start`` with transversal perms u (u[start] = pt)."""
-    orbit = {start: _identity(degree)}
-    queue = deque([start])
-    while queue:
-        pt = queue.popleft()
-        u = orbit[pt]
-        for s in gens:
-            image = s[pt]
-            if image not in orbit:
-                orbit[image] = _mul(u, s)
-                queue.append(image)
+def _transversal(group, point):
+    """Orbit of ``point`` under the group's generators as pt -> (u, u_inv)."""
+    if not 0 <= point < group.degree:
+        raise PermutationError(f"point {point} out of range 0..{group.degree - 1}")
+    orbit = {}
+    gens = group.generators
+    _orbit_grow(orbit, point, gens, len(gens), group.degree)
     return orbit
 
 
 class PermGroup:
-    """Permutation group with base, strong generating set and exact order."""
+    """Permutation group with base, strong generating set and exact order.
+
+    ``generators`` keeps every input generator as an image tuple, in input
+    order, identities and repeats included.
+    """
 
     def __init__(self, generators, degree: int | None = None):
-        generators = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
+        generators = tuple(_images(g) for g in generators)
         if degree is None:
             if not generators:
                 raise PermutationError("degree required for the trivial group")
-            degree = generators[0].degree
-        for g in generators:
-            if g.degree != degree:
-                raise PermutationError("generators of mixed degree")
+            degree = len(generators[0])
+        if any(len(g) != degree for g in generators):
+            raise PermutationError("generators of mixed degree")
         self.degree = degree
-        self.generators = tuple(generators)
-        self._base, self._levels = _schreier_sims(
-            [g.images for g in generators], degree
-        )
-        order = 1
-        for lvl in self._levels:
-            order *= len(lvl.orbit)
-        self.order = order
+        self.generators = generators
+        self._base, self._levels = _schreier_sims(generators, degree)
+        self.order = math.prod(len(lvl.orbit) for lvl in self._levels)
 
-    def __contains__(self, perm: Permutation) -> bool:
-        if perm.degree != self.degree:
-            return False
-        g = perm.images
-        for l, pt in enumerate(self._base):
-            entry = self._levels[l].orbit.get(g[pt])
-            if entry is None:
-                return False
-            g = _mul(g, entry[1])
-        return g == _identity(self.degree)
+    def __contains__(self, perm) -> bool:
+        g = _images(perm)
+        return (len(g) == self.degree
+                and _sift(g, self._base, self._levels)[0] == _identity(self.degree))
 
     def orbit(self, point: int):
         """Orbit of a point under the whole group, in discovery order."""
-        gens = [g.images for g in self.generators]
-        return list(_orbit_transversal(gens, point, self.degree))
+        return list(_transversal(self, point))
 
     def is_abelian(self) -> bool:
-        gens = [g.images for g in self.generators]
+        gens = self.generators
         return all(
             _mul(p, q) == _mul(q, p) for i, p in enumerate(gens) for q in gens[i + 1:]
         )
 
     def elements(self):
-        """Full element list via breadth-first closure (deterministic order)."""
+        """All elements as image tuples, in breadth-first (deterministic) order."""
         ident = _identity(self.degree)
-        gens = [g.images for g in self.generators]
         seen = {ident}
         out = [ident]
         queue = deque([ident])
         while queue:
             p = queue.popleft()
-            for s in gens:
+            for s in self.generators:
                 q = _mul(p, s)
                 if q not in seen:
                     seen.add(q)
                     out.append(q)
                     queue.append(q)
-        return [Permutation(p) for p in out]
+        return out
 
 
 def bsgs_build(generators, degree: int | None = None) -> PermGroup:
@@ -352,20 +339,17 @@ def bsgs_build(generators, degree: int | None = None) -> PermGroup:
 
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     """Stabilizer of a point, generated by its Schreier generators."""
-    gens = [g.images for g in group.generators]
-    degree = group.degree
-    orbit = _orbit_transversal(gens, point, degree)
-    inv = {pt: _inv(u) for pt, u in orbit.items()}
-    ident = _identity(degree)
+    orbit = _transversal(group, point)
+    ident = _identity(group.degree)
     schreier = []
     seen = set()
-    for pt, u in orbit.items():
-        for s in gens:
-            g = _mul(_mul(u, s), inv[s[pt]])
+    for pt, (u, _) in orbit.items():
+        for s in group.generators:
+            g = _mul(_mul(u, s), orbit[s[pt]][1])
             if g != ident and g not in seen:
                 seen.add(g)
                 schreier.append(g)
-    stab = PermGroup([Permutation(g) for g in schreier] or [], degree=degree)
+    stab = PermGroup(schreier, degree=group.degree)
     check(stab.order * len(orbit) == group.order,
           "stabilizer order breaks the orbit-stabilizer identity")
     return stab
@@ -383,8 +367,8 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
     G is k-transitive on d points iff, for every i < k, level i's orbit
     has d - i points (HEO ch. 4); no stabilizer is built.
     """
-    if k > group.degree:
-        raise PermutationError(f"k={k} exceeds degree {group.degree}")
+    if not 0 <= k <= group.degree:
+        raise PermutationError(f"k={k} outside 0..{group.degree}")
     return _transitive_along_chain(group, k, group.degree)
 
 
@@ -398,13 +382,16 @@ def recognize(group: PermGroup) -> str:
     of the degree decides transitivity on the moved points: no restricted
     copy of the group is built.
     """
-    dm = len({p for g in group.generators for p in g.moved_points()})
+    cycles = [_cycles(g) for g in group.generators]
+    dm = len({p for cs in cycles for c in cs for p in c})
     if not dm:
         return "other(1)"
     order = group.order
     if order == math.factorial(dm):
         return f"Sym({dm})"
-    if order == math.factorial(dm) // 2 and all(g.is_even() for g in group.generators):
+    if order == math.factorial(dm) // 2 and all(
+        sum(len(c) - 1 for c in cs) % 2 == 0 for cs in cycles
+    ):
         return f"Alt({dm})"
     if dm == 12 and order == 95040 and _transitive_along_chain(group, 5, dm):
         return "M12"
@@ -417,20 +404,18 @@ def conjugacy_class_reps(group: PermGroup, elements=None):
     """Non-identity class representatives, in element discovery order."""
     if elements is None:
         elements = group.elements()
-    gens = [g.images for g in group.generators]
     ident = _identity(group.degree)
     seen = {ident}
     reps = []
     for e in elements:
-        e = e.images
         if e in seen:
             continue
-        reps.append(Permutation(e))
+        reps.append(e)
         block = {e}
         queue = deque([e])
         while queue:
             x = queue.popleft()
-            for s in gens:
+            for s in group.generators:
                 y = _mul(_mul(_inv(s), x), s)
                 if y not in block:
                     block.add(y)
@@ -439,21 +424,19 @@ def conjugacy_class_reps(group: PermGroup, elements=None):
     return reps
 
 
-def normal_closure(group: PermGroup, element: Permutation) -> PermGroup:
+def normal_closure(group: PermGroup, element) -> PermGroup:
     """Smallest normal subgroup of ``group`` containing ``element``."""
-    gens = [g.images for g in group.generators]
-    closure_gens = [element.images]
     closed = PermGroup([element], degree=group.degree)
+    closure_gens = list(closed.generators)
+    ident = _identity(group.degree)
     while True:
         grew = False
         for h in list(closure_gens):
-            for s in gens:
+            for s in group.generators:
                 conj = _mul(_mul(_inv(s), h), s)
-                if Permutation(conj) not in closed:
+                if _sift(conj, closed._base, closed._levels)[0] != ident:
                     closure_gens.append(conj)
-                    closed = PermGroup(
-                        [Permutation(g) for g in closure_gens], degree=group.degree
-                    )
+                    closed = PermGroup(closure_gens, degree=group.degree)
                     grew = True
         if not grew:
             return closed
@@ -467,8 +450,9 @@ def brute_simplicity(group: PermGroup, bound: int = SIMPLICITY_BOUND):
     """Exhaustive simplicity check for groups of order at most ``bound``.
 
     Returns ('simple', None), ('not_simple', witness) with the witness an
-    element whose normal closure is proper, or ('unknown', None) when the
-    order exceeds the bound.  The trivial group counts as not simple.
+    element (an image tuple) whose normal closure is proper, or
+    ('unknown', None) when the order exceeds the bound.  The trivial group
+    counts as not simple.
     """
     if group.order > bound:
         return "unknown", None

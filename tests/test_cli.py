@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -100,6 +101,32 @@ def test_local_json(capsys, lambda_path):
     report = json.loads(out)
     assert report["groups"][0]["order"] == 360
     assert report["groups"][0]["recognition"] == "Alt(6)"
+
+
+# sha256 of `vhcert local` stdout, the only output that prints group
+# elements (generator cycles), per (complex, extra arguments, --json)
+LOCAL_DIGESTS = {
+    ("lambda", ("--depth", "1"), False): "f4d3ca37db20afdbfd0931bd874017e2cb94c74b887e4fc9c7a4c84c3bb2c5e1",
+    ("lambda", ("--depth", "1"), True): "df4e77964afe26dd036b204fda510761eace510a909d08a7603a8647511f6548",
+    ("delta", ("--depth", "1"), False): "3448910d305875b4015c55a0a07cefcff6707a82937bb4b5f8cbb5f33651ceae",
+    ("delta", ("--depth", "1"), True): "84d502678479266788e6b730d32f2a9df05b2f650ac5905e49f07835e1327a92",
+    ("sigma", ("--depth", "1"), False): "8e66405a27a9fb7ffc7b6858dd53147edfa65b63d78063bef24a5bc6e73dc837",
+    ("sigma", ("--depth", "1"), True): "072c09aee5372ae8b1321a8225fa6ab90401af33a6e8ea56254d87fe451a50ce",
+    ("lambda", ("--depth", "2"), False): "fd7253be4bc555eb3b5d056f4f640209879c9323bbfbcb17d56834f6c613bc13",
+    ("lambda", ("--depth", "2"), True): "685b0de07604ece92339daa5fdacf30bb3ebde6204156c005254b2c9b317652b",
+    ("delta", ("--depth", "2"), False): "00eecfce3818e963500e23f5386caaa9b57dfdc4f0cc702fce6705ea96205b39",
+    ("delta", ("--depth", "2"), True): "3d59c977f85bd4ff517314e2fa6656cf8c2d2a432a30769c2c6db19d2fd38835",
+    ("sigma", ("--side", "v", "--depth", "2"), False): "116bbd3046f255b1d7cba62bd7f7031420c59ea7663dd10ebb269be5bdfcacbb",
+    ("sigma", ("--side", "v", "--depth", "2"), True): "5b584a95bf557304ed7bea7224fd562cc65210500e09ea9a25314d6423ae025d",
+}
+
+
+@pytest.mark.parametrize("name, extra, as_json", list(LOCAL_DIGESTS))
+def test_local_output_digest(capsys, corpus_dir, name, extra, as_json):
+    argv = ["local", str(corpus_dir / f"{name}.vh"), *extra] + ["--json"] * as_json
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_DIGESTS[name, extra, as_json]
 
 
 def test_irreducible(capsys, lambda_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vhcert import corpus
 from vhcert.complexes import Letter
 from vhcert.local_actions import (
     SphereIndex,
@@ -152,3 +153,37 @@ def test_order_invariant_under_relabelling(lam):
     rng.shuffle(letters)
     shuffled = SphereIndex(lam, "v", 2, letters=letters)
     assert local_group(lam, "v", 2, sphere=shuffled).order == 360 * 60**6
+
+
+def _depth_bound(c, side, depth):
+    """|P^(depth-1)| and the bound |P^(depth-1)| * s^(d(d-1)^(depth-2)) of
+    the ``local_group`` docstring, s the largest point-stabilizer order of
+    P^(1)."""
+    p1 = local_group(c, side, 1)
+    d = p1.degree
+    s = p1.order // min(len(p1.orbit(x)) for x in range(d))
+    lower = local_group(c, side, depth - 1).order
+    return lower, lower * s ** (d * (d - 1) ** (depth - 2))
+
+
+# sigma h2 (132 points) holds with equality too but is left out for time
+DEPTH_BOUND_CASES = [
+    (name, side, 2) for name in corpus.NAMES for side in ("h", "v")
+    if (name, side) != ("sigma", "h")
+] + [("delta", "h", 3), ("delta", "v", 3)]
+
+
+@pytest.mark.parametrize("name, side, depth", DEPTH_BOUND_CASES)
+def test_local_group_order_between_depth_bounds(name, side, depth):
+    c = corpus.load(name)
+    lower, bound = _depth_bound(c, side, depth)
+    order = local_group(c, side, depth).order
+    assert order % lower == 0
+    assert order <= bound
+    assert (order == bound) == (name in ("lambda", "sigma"))
+
+
+def test_depth_bound_is_the_irreducibility_target_on_sigma(sigma):
+    # P_v^(1) = Alt(8) is transitive with point stabilizers Alt(7)
+    _, bound = _depth_bound(sigma, "v", 2)
+    assert bound == 20160 * 2520**8 == local_group(sigma, "v", 2).order

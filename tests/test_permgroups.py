@@ -65,7 +65,7 @@ def test_degree_one_group():
     ident = Permutation([0])
     g = bsgs_build([ident])
     assert (g.degree, g.order) == (1, 1)
-    assert g.elements() == [ident]
+    assert g.elements() == [(0,)]
     assert ident in g
     stab = point_stabilizer(g, 0)
     assert (stab.degree, stab.order) == (1, 1)
@@ -100,6 +100,24 @@ def test_membership():
     g = bsgs_build([perm("(1,2,3)", 4)])
     assert perm("(1,3,2)", 4) in g
     assert perm("(1,2)", 4) not in g
+    # image sequences are accepted and validated like Permutations
+    assert (2, 0, 1, 3) in g and [1, 0, 2, 3] not in g
+    assert (1, 2, 0) not in g  # wrong degree
+    with pytest.raises(PermutationError):
+        (0, 0, 1, 2) in g
+
+
+def test_out_of_range_points_and_k_are_refused():
+    g = bsgs_build([perm("(1,2,3,4)"), perm("(1,2)", 4)])
+    for point in (4, 7, -1):
+        with pytest.raises(PermutationError):
+            point_stabilizer(g, point)
+        with pytest.raises(PermutationError):
+            g.orbit(point)
+    for k in (-1, 5):
+        with pytest.raises(PermutationError):
+            is_k_transitive(g, k)
+    assert is_k_transitive(g, 0) and is_k_transitive(g, 4)
 
 
 def test_orbit_stabilizer_identity():
@@ -134,7 +152,7 @@ def test_a6_four_transitive_matches_brute_force():
     # independent oracle: explicit orbit of ordered 4-tuples
     elements = a6.elements()
     tuples = {
-        tuple(p(x) for x in (0, 1, 2, 3)) for p in elements
+        tuple(p[x] for x in (0, 1, 2, 3)) for p in elements
     }
     assert len(tuples) == 6 * 5 * 4 * 3
     assert is_k_transitive(a6, 4)
@@ -171,7 +189,7 @@ def test_recognize_stable_under_conjugation_and_shuffle(sigma):
     images = list(range(12))
     rng.shuffle(images)
     w = Permutation(images)
-    conj = [w.inverse() * g * w for g in m12.generators]
+    conj = [w.inverse() * Permutation(g) * w for g in m12.generators]
     rng.shuffle(conj)
     assert recognize(bsgs_build(conj)) == "M12"
 
@@ -205,10 +223,8 @@ def _direct_square(g):
     degree = g.degree
     gens = []
     for p in g.generators:
-        gens.append(Permutation(tuple(p.images) + tuple(range(degree, 2 * degree))))
-        gens.append(
-            Permutation(tuple(range(degree)) + tuple(x + degree for x in p.images))
-        )
+        gens.append(p + tuple(range(degree, 2 * degree)))
+        gens.append(tuple(range(degree)) + tuple(x + degree for x in p))
     return bsgs_build(gens)
 
 
@@ -236,7 +252,7 @@ def sympy_group(group):
     """The same generators as a sympy group, for an independent Schreier-Sims."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     return combinatorics.PermutationGroup([
-        combinatorics.Permutation(list(g.images)) for g in group.generators
+        combinatorics.Permutation(list(g)) for g in group.generators
     ])
 
 
@@ -273,7 +289,7 @@ def test_recognize_padded_conjugated_m12(sigma):
     images = list(range(14))
     rng.shuffle(images)
     w = Permutation(images)
-    padded = [Permutation(g.images + (12, 13)) for g in m12.generators]
+    padded = [Permutation(g + (12, 13)) for g in m12.generators]
     group = bsgs_build([w.inverse() * g * w for g in padded])
     assert recognize(group) == "M12"
     assert not is_k_transitive(group, 1)

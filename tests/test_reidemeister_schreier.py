@@ -205,3 +205,55 @@ def test_subgroup_presentation_from_closure_table(sigma):
     assert len(sub.generators) == 37
     assert len(sub.relators) == 96
     assert is_perfect(sub)
+
+
+class _UnusedRewritingSystem:
+    """Stand-in for the rewriting system sympy's FpGroup builds eagerly;
+    reidemeister_presentation never reads it, and building it takes
+    several times as long as the presentation itself."""
+
+    def __init__(self, group):
+        pass
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rewriting system used: {name}")
+
+
+def _sympy_kernel_presentation(p, subgens, monkeypatch):
+    """sympy's simplified Reidemeister-Schreier presentation of the subgroup
+    generated by ``subgens``, read back as a Presentation."""
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    monkeypatch.setattr(fp_groups, "RewritingSystem", _UnusedRewritingSystem)
+    free, *letters = free_group(",".join(p.generators))
+
+    def word(w):
+        out = free.identity
+        for g, e in w:
+            out *= letters[g] ** e
+        return out
+
+    group = fp_groups.FpGroup(free, [word(r) for r in p.relators])
+    gens, rels = fp_groups.reidemeister_presentation(group, [word(w) for w in subgens])
+    index = {g.array_form[0][0]: i for i, g in enumerate(gens)}
+    return Presentation.build(
+        tuple(str(g) for g in gens),
+        [
+            tuple((index[sym], 1 if e > 0 else -1) for sym, e in r.array_form
+                  for _ in range(abs(e)))
+            for r in rels
+        ],
+    )
+
+
+# sigma agrees too (trivial, 59) but takes seconds in sympy
+@pytest.mark.parametrize("name", ["lambda", "delta"])
+def test_parity_kernel_matches_sympy_reidemeister_schreier(name, monkeypatch):
+    p = presentation_from_complex(corpus.load(name))
+    table = parity_kernel_table(p)
+    theirs = _sympy_kernel_presentation(p, table.subgens, monkeypatch)
+    ours = subgroup_presentation(p, table)
+    assert abelianization(theirs) == abelianization(ours)
+    assert (len(theirs.relators) - len(theirs.generators)
+            == len(ours.relators) - len(ours.generators))
