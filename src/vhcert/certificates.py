@@ -32,7 +32,7 @@ from vhcert.complexes import (
     letters_from_names,
 )
 from vhcert.fpgroups import index4_hom, presentation_from_complex
-from vhcert.local_actions import local_group
+from vhcert.local_actions import SphereIndex, depth_order_bound, local_group
 from vhcert.permgroups import (
     SIMPLICITY_BOUND,
     PermGroup,
@@ -129,8 +129,19 @@ class Analysis:
         return irreducibility_check(self)
 
     def local_group(self, side: str, depth: int) -> PermGroup:
+        """P^(depth) of one side; from depth 2 on, built against the proven
+        ``depth_order_bound`` of the groups one and depth - 1 deep."""
         if (side, depth) not in self._groups:
-            self._groups[side, depth] = local_group(self.complex, side, depth)
+            # the sphere refuses a depth above the cap before any group is built
+            sphere = SphereIndex(self.complex, side, depth)
+            bound = None
+            if depth >= 2:
+                bound = depth_order_bound(
+                    self.local_group(side, 1), self.local_group(side, depth - 1)
+                )
+            self._groups[side, depth] = local_group(
+                self.complex, side, depth, sphere, order_bound=bound
+            )
         return self._groups[side, depth]
 
     def recognize(self, group: PermGroup) -> str:

@@ -145,6 +145,7 @@ def sphere_action(
 
 def local_group(
     c: SquareComplex, side: str, depth: int, sphere: SphereIndex | None = None,
+    order_bound: int | None = None,
 ) -> PermGroup:
     """The local group of one side at the given sphere depth.
 
@@ -159,6 +160,10 @@ def local_group(
     to the parent, so |P^(k)| <= |P^(k-1)| * s^(d(d-1)^(k-2)) with s the
     largest point-stabilizer order of P^(1) (all point stabilizers have
     that order when P^(1) is transitive).
+
+    ``order_bound`` is forwarded to ``bsgs_build``.  ``Analysis.local_group``
+    passes ``depth_order_bound`` for depths >= 2, so the order is proven by
+    the random phase meeting it; without a bound the build is deterministic.
     """
     if side not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"side must be 'h' or 'v', not {side!r}")
@@ -168,4 +173,15 @@ def local_group(
     count = c.n if side == HORIZONTAL else c.m
     actors = [Letter(actor_side, i + 1) for i in range(count)]
     gens = [sphere_action(c, a, depth, sphere) for a in actors]
-    return bsgs_build(gens, degree=len(sphere))
+    return bsgs_build(gens, degree=len(sphere), order_bound=order_bound)
+
+
+def depth_order_bound(depth1: PermGroup, previous: PermGroup) -> int:
+    """The upper bound |P^(k-1)| * s^(d(d-1)^(k-2)) on |P^(k)| argued in
+    ``local_group``, from P^(1) and P^(k-1).
+
+    s is the largest point-stabilizer order of P^(1), and the
+    (k-1)-sphere has d(d-1)^(k-2) vertices: the degree of P^(k-1).
+    """
+    s = depth1.order // min(len(depth1.orbit(x)) for x in range(depth1.degree))
+    return previous.order * s ** previous.degree

@@ -16,14 +16,30 @@ of the base counts as 1), since that orbit lies among the d - i points
 other than b_0..b_(i-1).  Only ``point_stabilizer`` builds a second
 group, and it cross-checks the chain by the orbit-stabilizer identity.
 
-Orders are computed by a deterministic Schreier-Sims run (no
-randomization, base points chosen as first moved points) and are exact
-Python integers, so values like 20160 * 2520**8 are handled verbatim.
+Orders are exact Python integers, so values like 20160 * 2520**8 are
+handled verbatim.  By default the chain comes from a deterministic
+Schreier-Sims run (base points chosen as first moved points).  A caller
+that knows a proven upper bound on the order passes it as
+``order_bound``; then a seeded random Schreier-Sims run sifts
+product-replacement elements into the chain and stops as soon as the
+product of the basic orbit lengths equals the bound.  Every generator
+of level i fixes b_0..b_(i-1), so level i's orbit lies in the orbit of
+b_i under the pointwise stabilizer G_i of b_0..b_(i-1); with r base
+points, |G| = |G_r| * prod |b_i^(G_i)| >= prod |level i's orbit|
+(HEO ch. 4).  Once that lower bound meets the upper bound, every level
+orbit is a full basic orbit and G_r is trivial: the order is exact and the
+chain is a complete BSGS, so membership, orbits, transitivity and
+recognition stay exact.  A product above the bound raises
+``VerificationError``.  If ``STALL_SIFTS`` consecutive random elements
+sift to the identity first, the group is built by the deterministic run,
+so its chain is the same as without a bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import re
 from collections import deque
 from operator import itemgetter
@@ -203,38 +219,44 @@ class _Level:
         self.done = set()  # (orbit point, generator index) pairs verified
 
 
-def _schreier_sims(raw_gens, degree):
-    """Deterministic Schreier-Sims; returns (base, levels)."""
+def _new_level(base, levels, g):
+    """Extend the base by the first point that ``g`` moves."""
+    base.append(next(x for x, y in enumerate(g) if y != x))
+    levels.append(_Level())
+
+
+def _add_generator(base, levels, l, g):
+    """Add ``g`` to level ``l`` and grow that level's orbit."""
+    lvl = levels[l]
+    lvl.gens.append(g)
+    lvl.done.update(_orbit_grow(lvl.orbit, base[l], lvl.gens, 1, len(g)))
+
+
+def _initial_chain(raw_gens, degree):
+    """(base, levels) of the input generators alone: each distinct
+    non-identity generator joins every level up to the first base point it
+    moves, so level 0 holds them all."""
     ident = _identity(degree)
     base = []
     levels = []
-
-    def new_base_point(g):
-        for x in range(degree):
-            if g[x] != x:
-                base.append(x)
-                levels.append(_Level())
-                return
-
-    def add_at(level_idx, g):
-        lvl = levels[level_idx]
-        lvl.gens.append(g)
-        for pair in _orbit_grow(lvl.orbit, base[level_idx], lvl.gens, 1, degree):
-            lvl.done.add(pair)
-
-    seen = set()
-    for g in raw_gens:
-        if g == ident or g in seen:
+    for g in dict.fromkeys(raw_gens):
+        if g == ident:
             continue
-        seen.add(g)
         lev = next(
             (l for l in range(len(base)) if g[base[l]] != base[l]), None
         )
         if lev is None:
-            new_base_point(g)
+            _new_level(base, levels, g)
             lev = len(base) - 1
         for l in range(lev + 1):
-            add_at(l, g)
+            _add_generator(base, levels, l, g)
+    return base, levels
+
+
+def _schreier_sims(raw_gens, degree):
+    """Deterministic Schreier-Sims; returns (base, levels)."""
+    ident = _identity(degree)
+    base, levels = _initial_chain(raw_gens, degree)
 
     def find_residue(level_idx):
         lvl = levels[level_idx]
@@ -262,12 +284,68 @@ def _schreier_sims(raw_gens, degree):
             continue
         h, j = found
         if j == len(base):
-            new_base_point(h)
+            _new_level(base, levels, h)
         for l in range(i + 1, j + 1):
-            add_at(l, h)
+            _add_generator(base, levels, l, h)
         i = j
 
     return base, levels
+
+
+# The random phase: product-replacement slots, scrambling steps before
+# the first element is used, the fixed seed, and the run of consecutive
+# sifts to the identity after which it gives up on reaching the bound.
+_PR_SLOTS = 10
+_PR_SCRAMBLE = 50
+_RANDOM_SEED = 1
+STALL_SIFTS = 50
+
+
+def _random_elements(gens, rng):
+    """Product replacement with an accumulator (HEO ch. 3): an endless
+    stream of elements of <gens>, nearly uniform after scrambling."""
+    slots = [gens[i % len(gens)] for i in range(max(_PR_SLOTS, len(gens)))]
+    acc = slots[0]
+    for step in itertools.count(-_PR_SCRAMBLE):
+        s, t = rng.sample(range(len(slots)), 2)
+        if rng.getrandbits(1):
+            slots[s] = _mul(slots[s], slots[t])
+        else:
+            slots[s] = _mul(slots[t], slots[s])
+        acc = _mul(acc, slots[s])
+        if step >= 0:
+            yield acc
+
+
+def _bounded_schreier_sims(raw_gens, degree, order_bound):
+    """Seeded random Schreier-Sims up to ``order_bound``; returns
+    (base, levels) once the product of the level orbit lengths reaches the
+    bound, or None after ``STALL_SIFTS`` consecutive sifts to the identity.
+
+    Level 0 of the initial chain holds every generator, so its orbit is the
+    whole orbit of b_0.  A residue that leaves the chain at level j fixes
+    b_0..b_(j-1), so it may join any of levels 1..j; it joins them all,
+    which lets the lower orbits grow too.
+    """
+    base, levels = _initial_chain(raw_gens, degree)
+    if not base:
+        return None
+    ident = _identity(degree)
+    order = math.prod(len(lvl.orbit) for lvl in levels)
+    stream = _random_elements(levels[0].gens, random.Random(_RANDOM_SEED))
+    quiet = 0
+    while order < order_bound and quiet < STALL_SIFTS:
+        h, j = _sift(next(stream), base, levels)
+        if h == ident:
+            quiet += 1
+            continue
+        quiet = 0
+        if j == len(base):
+            _new_level(base, levels, h)
+        for l in range(1, j + 1):
+            _add_generator(base, levels, l, h)
+        order = math.prod(len(lvl.orbit) for lvl in levels)
+    return (base, levels) if order >= order_bound else None
 
 
 def _transversal(group, point):
@@ -285,9 +363,18 @@ class PermGroup:
 
     ``generators`` keeps every input generator as an image tuple, in input
     order, identities and repeats included.
+
+    ``order_bound``, if given, is a proven upper bound on the order; the
+    chain is then built by the random phase of the module docstring, and
+    an order above the bound raises ``VerificationError``.  A bound below
+    the true order is a caller error that cannot always be detected: the
+    random phase may stop on a partial chain whose product happens to
+    equal it.  So only ``local_actions.depth_order_bound``, whose bound is
+    proven, supplies one.
     """
 
-    def __init__(self, generators, degree: int | None = None):
+    def __init__(self, generators, degree: int | None = None, *,
+                 order_bound: int | None = None):
         generators = tuple(_images(g) for g in generators)
         if degree is None:
             if not generators:
@@ -297,8 +384,13 @@ class PermGroup:
             raise PermutationError("generators of mixed degree")
         self.degree = degree
         self.generators = generators
-        self._base, self._levels = _schreier_sims(generators, degree)
+        chain = None
+        if order_bound is not None:
+            chain = _bounded_schreier_sims(generators, degree, order_bound)
+        self._base, self._levels = chain or _schreier_sims(generators, degree)
         self.order = math.prod(len(lvl.orbit) for lvl in self._levels)
+        check(order_bound is None or self.order <= order_bound,
+              f"group order {self.order} exceeds the proven bound {order_bound}")
 
     def __contains__(self, perm) -> bool:
         g = _images(perm)
@@ -332,9 +424,10 @@ class PermGroup:
         return out
 
 
-def bsgs_build(generators, degree: int | None = None) -> PermGroup:
+def bsgs_build(generators, degree: int | None = None, *,
+               order_bound: int | None = None) -> PermGroup:
     """Group from generators; the order is exact (arbitrary precision)."""
-    return PermGroup(generators, degree)
+    return PermGroup(generators, degree, order_bound=order_bound)
 
 
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:

@@ -3,14 +3,17 @@ import random
 import pytest
 
 from vhcert import corpus
+from vhcert.certificates import Analysis
 from vhcert.complexes import Letter
 from vhcert.local_actions import (
     SphereIndex,
+    depth_order_bound,
     horizontal_local_perm,
     local_group,
     sphere_action,
     vertical_local_perm,
 )
+from vhcert.permgroups import PermGroup
 
 
 def _vletter(spec: str) -> Letter:
@@ -156,20 +159,19 @@ def test_order_invariant_under_relabelling(lam):
 
 
 def _depth_bound(c, side, depth):
-    """|P^(depth-1)| and the bound |P^(depth-1)| * s^(d(d-1)^(depth-2)) of
-    the ``local_group`` docstring, s the largest point-stabilizer order of
-    P^(1)."""
-    p1 = local_group(c, side, 1)
-    d = p1.degree
-    s = p1.order // min(len(p1.orbit(x)) for x in range(d))
-    lower = local_group(c, side, depth - 1).order
-    return lower, lower * s ** (d * (d - 1) ** (depth - 2))
+    """|P^(depth-1)| and ``depth_order_bound``, from groups built without a
+    bound."""
+    previous = local_group(c, side, depth - 1)
+    return previous.order, depth_order_bound(local_group(c, side, 1), previous)
 
 
-# sigma h2 (132 points) holds with equality too but is left out for time
+def _unbounded_order(group):
+    """The deterministic order of a group built against a bound."""
+    return PermGroup(group.generators, group.degree).order
+
+
 DEPTH_BOUND_CASES = [
     (name, side, 2) for name in corpus.NAMES for side in ("h", "v")
-    if (name, side) != ("sigma", "h")
 ] + [("delta", "h", 3), ("delta", "v", 3)]
 
 
@@ -177,7 +179,9 @@ DEPTH_BOUND_CASES = [
 def test_local_group_order_between_depth_bounds(name, side, depth):
     c = corpus.load(name)
     lower, bound = _depth_bound(c, side, depth)
-    order = local_group(c, side, depth).order
+    group = Analysis(c).local_group(side, depth)
+    order = _unbounded_order(group)
+    assert group.order == order
     assert order % lower == 0
     assert order <= bound
     assert (order == bound) == (name in ("lambda", "sigma"))
@@ -186,4 +190,13 @@ def test_local_group_order_between_depth_bounds(name, side, depth):
 def test_depth_bound_is_the_irreducibility_target_on_sigma(sigma):
     # P_v^(1) = Alt(8) is transitive with point stabilizers Alt(7)
     _, bound = _depth_bound(sigma, "v", 2)
-    assert bound == 20160 * 2520**8 == local_group(sigma, "v", 2).order
+    group = Analysis(sigma).local_group("v", 2)
+    assert bound == 20160 * 2520**8 == _unbounded_order(group) == group.order
+
+
+def test_sigma_vertical_depth3_meets_its_bound(sigma):
+    # 392 points; the deterministic run does not finish in minutes, the
+    # random phase reaches the bound |P^(2)| * |Alt(7)|^56, a 738-bit order
+    group = Analysis(sigma).local_group("v", 3)
+    assert group.degree == 392
+    assert group.order == 20160 * 2520**8 * 2520**56

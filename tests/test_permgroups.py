@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from vhcert import corpus
-from vhcert.local_actions import local_group
+from vhcert.certificates import Analysis
+from vhcert.checks import VerificationError
+from vhcert.local_actions import depth_order_bound, local_group
 from vhcert.permgroups import (
     Permutation,
     PermutationError,
+    _bounded_schreier_sims,
     _mul,
     brute_simplicity,
     bsgs_build,
@@ -118,6 +122,71 @@ def test_out_of_range_points_and_k_are_refused():
         with pytest.raises(PermutationError):
             is_k_transitive(g, k)
     assert is_k_transitive(g, 0) and is_k_transitive(g, 4)
+
+
+def _chain(group):
+    return group._base, [list(lvl.orbit) for lvl in group._levels]
+
+
+def test_bound_met_gives_a_complete_chain():
+    # bounded by its own order, the random phase must stop on a complete
+    # BSGS: membership agrees with the deterministic chain on all of Sym(d)
+    rng = random.Random(5150)
+    for _ in range(60):
+        degree = rng.randint(2, 6)
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+        exact = bsgs_build(gens, degree)
+        bounded = bsgs_build(gens, degree, order_bound=exact.order)
+        assert bounded.order == exact.order
+        for k in range(degree + 1):
+            assert is_k_transitive(bounded, k) == is_k_transitive(exact, k)
+        for p in itertools.permutations(range(degree)):
+            assert (p in bounded) == (p in exact)
+
+
+def test_bound_not_met_falls_back_to_the_deterministic_chain(delta):
+    # delta's depth-2 groups stay below their depth bound; small groups
+    # given twice their order, or one more, can never meet it
+    cases = [
+        (local_group(delta, side, 2),
+         depth_order_bound(local_group(delta, side, 1), local_group(delta, side, 1)))
+        for side in ("h", "v")
+    ]
+    s4 = bsgs_build([perm("(1,2)", 4), perm("(1,2,3,4)", 4)])
+    a5 = bsgs_build([perm("(1,2,3)", 5), perm("(3,4,5)", 5)])
+    cases += [(s4, 48), (a5, 61)]
+    for group, bound in cases:
+        assert group.order < bound
+        bounded = bsgs_build(group.generators, group.degree, order_bound=bound)
+        assert bounded.order == group.order
+        assert _chain(bounded) == _chain(group)
+
+
+def test_random_phase_meets_the_corpus_depth_bounds(lam, sigma):
+    # lambda's and sigma's depth-2 orders equal their bounds; the random
+    # phase must prove that itself, without the deterministic fallback
+    for c in (lam, sigma):
+        a = Analysis(c)
+        for side in ("h", "v"):
+            previous = a.local_group(side, 1)
+            bound = depth_order_bound(previous, previous)
+            group = a.local_group(side, 2)
+            chain = _bounded_schreier_sims(group.generators, group.degree, bound)
+            assert chain is not None
+            assert math.prod(len(lvl.orbit) for lvl in chain[1]) == bound
+
+
+def test_bound_overshoot_raises():
+    # Alt(5) on 5 points: the orbit product goes 5, 20, 60 past a bound of 59
+    gens = [perm("(1,2,3)", 5).images, perm("(3,4,5)", 5).images]
+    base, levels = _bounded_schreier_sims(gens, 5, 59)
+    assert [len(lvl.orbit) for lvl in levels] == [5, 4, 3]
+    with pytest.raises(VerificationError, match="exceeds the proven bound"):
+        bsgs_build(gens, 5, order_bound=59)
+    # the deterministic fallback is checked against the bound too
+    with pytest.raises(VerificationError, match="exceeds the proven bound"):
+        bsgs_build([], degree=3, order_bound=0)
+    assert bsgs_build(gens, 5, order_bound=60).order == 60
 
 
 def test_orbit_stabilizer_identity():
