@@ -5,15 +5,22 @@ deduction queue.  Every new entry (alpha, c), whether a definition, a
 scan's single-gap deduction or an entry made by a coincidence, is queued
 and followed by scans, without definitions, of the relator rotations
 through it: the cyclic rotations of the relators and of their inverses
-that begin with column c, read from alpha (precomputed once per table).
-The strategies differ only in how they choose definitions: HLT (the
-default) first scans every relator from the coset with definitions, then
-both fill the coset's remaining empty entries.  The queue is drained
-after each scan and after each definition.  Coincidences are handled by
-a union-find with an immediately processed queue.  A generator that is a
-relator of length 1 is the identity on every coset: its entries are set,
-and queued, when the coset is created, since no deduction through
-another entry would reach them.
+that begin with column c, read from alpha (precomputed once per table,
+with their inverse columns and last position).  The deduction loop runs
+these scans inline; ``_scan``, the only other scan, always defines cosets
+to close a relator.  The strategies differ only in how they choose
+definitions: HLT (the default) first scans every relator, in order, from
+the coset with definitions, then both fill the coset's remaining empty
+entries.  The queue is drained after each scan and after each
+definition.  Coincidences are handled by a union-find with an
+immediately processed queue.  A generator that is a relator of length 1
+is the identity on every coset: its entries are set, and queued, when
+the coset is created, since no deduction through another entry would
+reach them.
+
+A normal closure puts its added relator first, so HLT scans it, and
+starts collapsing the table with its coincidences, before the relators
+of the group it is added to grow the table.
 
 When the coset cap is reached, the queue is drained; if no coset has died
 the enumeration stops with the resource verdict ``EnumerationExhausted``
@@ -64,14 +71,18 @@ def _word_to_cols(word):
 
 def _column_rotations(relator_cols, ncols):
     """For each column c, the distinct cyclic rotations of the relators and
-    of their inverses that begin with c (proper powers repeat rotations)."""
+    of their inverses that begin with c (proper powers repeat rotations),
+    each as (cols, inverse_cols, last) for the deduction loop's scans."""
     rotations = [{} for _ in range(ncols)]
     for cols in relator_cols:
         for word in (cols, tuple(c ^ 1 for c in reversed(cols))):
             for i in range(len(word)):
                 rot = word[i:] + word[:i]
                 rotations[rot[0]][rot] = None
-    return [tuple(by_col) for by_col in rotations]
+    return [
+        tuple((rot, tuple(c ^ 1 for c in rot), len(rot) - 1) for rot in by_col)
+        for by_col in rotations
+    ]
 
 
 class CosetTable:
@@ -197,8 +208,8 @@ class CosetTable:
                     nu_row[inv] = mu
                     deductions.append((mu, col))
 
-    def _scan(self, alpha: int, cols, fill: bool) -> None:
-        """Scan a relator from alpha; define cosets to close gaps iff fill."""
+    def _scan(self, alpha: int, cols) -> None:
+        """Scan a relator from alpha, defining cosets to close its gaps."""
         table = self.table
         last = len(cols) - 1
         while True:
@@ -230,8 +241,6 @@ class CosetTable:
                 table[b][col ^ 1] = f
                 self._deductions.append((f, col))
                 return
-            if not fill:
-                return
             self._define(f, col)
 
     # -- enumeration --------------------------------------------------------
@@ -251,21 +260,52 @@ class CosetTable:
         # A deduced entry (alpha, col) can only complete a relator cycle
         # that passes through it; read from alpha, those cycles (in either
         # direction) are the rotations of the relators and their inverses
-        # that start with col.  A coset that died
+        # that start with col.  Each is scanned inline, as _scan would but
+        # with no definitions: a full trace is a coincidence check, a
+        # single gap a deduction, a longer gap nothing.  A coset that died
         # meanwhile is skipped: the coincidence that killed it queued a
         # deduction for each entry it gave its representative.
         deductions = self._deductions
+        table = self.table
         p = self.p
-        scan = self._scan
+        coincidence = self._coincidence
         rotations = self.column_rotations
         while deductions:
             alpha, col = deductions.popleft()
             if p[alpha] != alpha:
                 continue
-            for cols in rotations[col]:
-                scan(alpha, cols, False)
-                if p[alpha] != alpha:
-                    break
+            for cols, inverse_cols, last in rotations[col]:
+                f, i = alpha, 0
+                while i <= last:
+                    nxt = table[f][cols[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != alpha:
+                        coincidence(f, alpha)
+                        if p[alpha] != alpha:
+                            break
+                    continue
+                b, j = alpha, last
+                while j >= i:
+                    nxt = table[b][inverse_cols[j]]
+                    if nxt is None:
+                        break
+                    b = nxt
+                    j -= 1
+                else:
+                    if f != b:
+                        coincidence(f, b)
+                        if p[alpha] != alpha:
+                            break
+                    continue
+                if j == i:
+                    c = cols[i]
+                    table[f][c] = b
+                    table[b][inverse_cols[i]] = f
+                    deductions.append((f, c))
 
     def _enumerate(self, scans) -> None:
         """One pass from coset 0: the subgroup generators are scanned from
@@ -277,14 +317,14 @@ class CosetTable:
         scan = self._scan
         drain = self._process_deductions
         for cols in self.subgen_cols:
-            scan(0, cols, True)
+            scan(0, cols)
             drain()
         alpha = 0
         while alpha < len(table):
             for cols in scans:
                 if p[alpha] != alpha:
                     break
-                scan(alpha, cols, True)
+                scan(alpha, cols)
                 drain()
             row = table[alpha]
             for col in range(self.ncols):
@@ -405,9 +445,15 @@ def enumerate_cosets(p: Presentation, subgens=(), cap: int = 10**6,
 def normal_closure_table(p: Presentation, word, cap: int = 10**6,
                          strategy: str = "hlt") -> CosetTable:
     """Coset table of the normal closure of ``word``: enumerate the trivial
-    subgroup of the quotient with the word added as a relator."""
+    subgroup of the quotient with the word added as a relator.
+
+    The word is the first relator.  HLT scans relators in order, and the
+    word is what makes the quotient smaller than ``p``'s group, so its
+    coincidences start collapsing the table before the other relators
+    grow it (sigma: 3,079 cosets defined instead of 5,289 with it last).
+    """
     quotient = Presentation.build(
-        p.generators, p.relators + (cyclic_reduce(word),), p.sides
+        p.generators, (cyclic_reduce(word),) + p.relators, p.sides
     )
     return enumerate_cosets(quotient, (), cap, strategy)
 

@@ -1,9 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
 from vhcert.checks import VerificationError
-from vhcert.fpgroups import Presentation, free_reduce, presentation_from_complex
+from vhcert.fpgroups import (
+    Presentation,
+    cyclic_reduce,
+    free_reduce,
+    presentation_from_complex,
+)
 from vhcert.permgroups import Permutation
 from vhcert.reidemeister_schreier import schreier_generator_words, schreier_transversal
 from vhcert.todd_coxeter import (
@@ -165,21 +171,44 @@ def test_witness_closure_counters(sigma, witness_closures):
     # exact work counts: they move only if the order of definitions,
     # deductions and coincidences does
     assert [t.summary() for t in witness_closures.values()] == [
-        {"index": 4, "strategy": "hlt", "max_live": 5206, "total_defined": 5289},
+        {"index": 4, "strategy": "hlt", "max_live": 3041, "total_defined": 3079},
         {"index": 4, "strategy": "felsch", "max_live": 4940, "total_defined": 5008},
     ]
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")
     # a cap between peak live and total defined: the cap path compresses
     # dead rows away and the table still closes
-    for strategy, cap in (("hlt", 5250), ("felsch", 5000)):
+    for strategy, cap in (("hlt", 3060), ("felsch", 5000)):
         table = normal_closure_table(p, w, cap=cap, strategy=strategy)
         assert table.index == 4
         assert table.max_live < cap < table.total_defined
     # a cap below peak live: both strategies exhaust
     for strategy in ("hlt", "felsch"):
         with pytest.raises(EnumerationExhausted):
-            normal_closure_table(p, w, cap=4900, strategy=strategy)
+            normal_closure_table(p, w, cap=3000, strategy=strategy)
+
+
+# sha256 of the repr of sigma's standardized index-4 table
+WITNESS_TABLE_DIGEST = "58f637260d59eae5c77136ad99aa2cbe3e9c9e21638bd2bcc3176f18e7de43d1"
+
+
+def test_witness_last_keeps_the_deduction_work(sigma, witness_closures):
+    # The deduction loop's inline scans must make the definitions,
+    # deductions and coincidences of a scan without definitions, in the
+    # same order; with the witness as the last relator these are the
+    # counts and the table that such scans give, and every order of
+    # the relators gives the same standardized table.
+    p = presentation_from_complex(sigma)
+    w = p.parse_word("a2*a1^-1*a3*a4^-1")
+    last = Presentation.build(p.generators, p.relators + (cyclic_reduce(w),), p.sides)
+    tables = {s: enumerate_cosets(last, strategy=s) for s in ("hlt", "felsch")}
+    assert [t.summary() for t in tables.values()] == [
+        {"index": 4, "strategy": "hlt", "max_live": 5206, "total_defined": 5289},
+        {"index": 4, "strategy": "felsch", "max_live": 4940, "total_defined": 5008},
+    ]
+    for table in (*tables.values(), *witness_closures.values()):
+        digest = hashlib.sha256(repr(table.table).encode()).hexdigest()
+        assert digest == WITNESS_TABLE_DIGEST
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
