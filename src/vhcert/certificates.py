@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from vhcert import corpus
 from vhcert.checks import check
@@ -54,24 +54,17 @@ UNKNOWN = "unknown"
 SKIPPED = "skipped"
 
 
-@dataclass
-class Step:
+class Step(NamedTuple):
     name: str
     verdict: str
     values: dict
     citation: str
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "values": self.values,
-            "citation": self.citation,
-        }
+        return self._asdict()
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     complex_name: str
     word: str
     steps: list
@@ -246,8 +239,7 @@ def nst_check(c: Analysis | SquareComplex) -> Step:
     return Step("normal_subgroup_theorem", PASS, values, citation)
 
 
-@dataclass(frozen=True)
-class AmalgamSplitting:
+class AmalgamSplitting(NamedTuple):
     vertex_rank: int
     edge_rank: int
     edge_index: int

@@ -17,7 +17,6 @@ a horizontal and b vertical must occur in exactly one square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -33,8 +32,7 @@ class LinkError(ValueError):
     """A corner pair is missing or duplicated where uniqueness is assumed."""
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class Letter(NamedTuple):
     """An oriented edge: side 'h' or 'v', 1-based index, inversion flag.
 
     Ordering is (side, index, inverted), so a_1 < a_1^-1 < ... and all
@@ -88,8 +86,7 @@ def canonical_square(a: Letter, b: Letter, a2: Letter, b2: Letter) -> Square:
     return min(Square(a, b, a2, b2).forms())
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(NamedTuple):
     """Outcome of the link check; ok iff both failure lists are empty."""
 
     ok: bool
@@ -102,18 +99,28 @@ class LinkReport:
         return self.total_corners - len(self.missing_corners)
 
 
-@dataclass(frozen=True)
 class SquareComplex:
     """A one-vertex VH square complex with named generators.
 
     ``squares`` holds canonical forms, sorted and de-duplicated; a complex
     violating the link condition is representable (the check reports it).
+    Two complexes are equal when their names, alphabets and squares are.
     """
 
-    name: str
-    hnames: tuple
-    vnames: tuple
-    squares: tuple
+    def __init__(self, name: str, hnames: tuple, vnames: tuple, squares: tuple):
+        self.name = name
+        self.hnames = hnames
+        self.vnames = vnames
+        self.squares = squares
+
+    def _key(self):
+        return (self.name, self.hnames, self.vnames, self.squares)
+
+    def __eq__(self, other):
+        return isinstance(other, SquareComplex) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def build(cls, name, hnames, vnames, squares) -> "SquareComplex":
@@ -304,12 +311,16 @@ def parse_complex(text: str) -> SquareComplex:
         elif kind == "horizontal":
             if name is None:
                 err(lineno, "horizontal line before complex line")
+            if hnames is not None:
+                err(lineno, "duplicate horizontal line")
             if not args:
                 err(lineno, "at least one horizontal generator is required")
             hnames = tuple(args)
         elif kind == "vertical":
             if hnames is None:
                 err(lineno, "vertical line before horizontal line")
+            if vnames is not None:
+                err(lineno, "duplicate vertical line")
             if not args:
                 err(lineno, "at least one vertical generator is required")
             vnames = tuple(args)

@@ -1,6 +1,6 @@
 """Bundled example complexes: lambda.vh, delta.vh, sigma.vh."""
 
-from importlib import resources
+import os
 
 from vhcert.complexes import SquareComplex, parse_complex
 
@@ -11,7 +11,8 @@ def text(name: str) -> str:
     """Raw file contents of a bundled complex."""
     if name not in NAMES:
         raise KeyError(f"no bundled complex named {name!r}")
-    return resources.files(__package__).joinpath(f"{name}.vh").read_text("utf-8")
+    with open(os.path.join(os.path.dirname(__file__), f"{name}.vh"), encoding="utf-8") as f:
+        return f.read()
 
 
 def load(name: str) -> SquareComplex:

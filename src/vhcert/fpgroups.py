@@ -8,8 +8,6 @@ integers, so invariant factors are exact whatever their size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from vhcert.checks import check
 from vhcert.complexes import HORIZONTAL, SquareComplex
 
@@ -52,7 +50,6 @@ def concat(*words):
     return free_reduce(out)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Group presentation over named generators.
 
@@ -61,17 +58,25 @@ class Presentation:
     for hand-built presentations.
     """
 
-    generators: tuple
-    relators: tuple
-    sides: tuple | None = None
-
-    def __post_init__(self):
-        for rel in self.relators:
+    def __init__(self, generators: tuple, relators: tuple, sides: tuple | None = None):
+        for rel in relators:
             if rel != cyclic_reduce(rel):
                 raise WordError(f"relator {rel!r} is not cyclically reduced")
             for g, e in rel:
-                if not 0 <= g < len(self.generators) or e not in (1, -1):
+                if not 0 <= g < len(generators) or e not in (1, -1):
                     raise WordError(f"bad letter ({g}, {e}) in relator")
+        self.generators = generators
+        self.relators = relators
+        self.sides = sides
+
+    def _key(self):
+        return (self.generators, self.relators, self.sides)
+
+    def __eq__(self, other):
+        return isinstance(other, Presentation) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def build(cls, generators, relators, sides=None):
@@ -141,24 +146,16 @@ def presentation_from_complex(c: SquareComplex) -> Presentation:
     )
 
 
-@dataclass(frozen=True)
 class ParityHom:
     """The surjection onto Z/2 x Z/2 sending horizontal generators to
     (1, 0) and vertical generators to (0, 1); its kernel has index 4."""
 
-    presentation: Presentation
-    images: tuple = field(init=False, default=())
-
-    def __post_init__(self):
-        p = self.presentation
-        if p.sides is None:
+    def __init__(self, presentation: Presentation):
+        if presentation.sides is None:
             raise WordError("generator without side information")
-        object.__setattr__(
-            self,
-            "images",
-            tuple((1, 0) if s == HORIZONTAL else (0, 1) for s in p.sides),
-        )
-        for rel in p.relators:
+        self.presentation = presentation
+        self.images = tuple((1, 0) if s == HORIZONTAL else (0, 1) for s in presentation.sides)
+        for rel in presentation.relators:
             if self.image(rel) != (0, 0):
                 raise WordError(f"relator {rel!r} is not in the parity kernel")
 
@@ -311,17 +308,24 @@ def smith_normal_form(matrix):
     return factors, u, v
 
 
-@dataclass(frozen=True)
 class AbelianInvariants:
     """Free rank plus the torsion divisibility chain d1 | d2 | ... (> 1)."""
 
-    free_rank: int
-    torsion: tuple
-
-    def __post_init__(self):
-        check(all(b % a == 0 for a, b in zip(self.torsion, self.torsion[1:])),
+    def __init__(self, free_rank: int, torsion: tuple):
+        check(all(b % a == 0 for a, b in zip(torsion, torsion[1:])),
               "torsion coefficients must form a divisor chain")
-        check(all(t > 1 for t in self.torsion), "torsion coefficients must exceed 1")
+        check(all(t > 1 for t in torsion), "torsion coefficients must exceed 1")
+        self.free_rank = free_rank
+        self.torsion = torsion
+
+    def _key(self):
+        return (self.free_rank, self.torsion)
+
+    def __eq__(self, other):
+        return isinstance(other, AbelianInvariants) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

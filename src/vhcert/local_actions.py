@@ -11,8 +11,6 @@ horizontal side by b_1..b_n, acting on reduced words of the other side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from vhcert.checks import check
 from vhcert.complexes import HORIZONTAL, VERTICAL, Letter, SquareComplex
 from vhcert.permgroups import PermGroup, Permutation, bsgs_build
@@ -22,19 +20,17 @@ from vhcert.permgroups import PermGroup, Permutation, bsgs_build
 DEFAULT_MAX_DEPTH = 3
 
 
-@dataclass(frozen=True)
 class LocalPerm:
     """Depth-1 action of one letter on the opposite side's letters."""
 
-    actor: Letter
-    depth1: dict
-    residual: dict
-
-    def __post_init__(self):
-        values = list(self.depth1.values())
+    def __init__(self, actor: Letter, depth1: dict, residual: dict):
+        values = list(depth1.values())
         check(len(set(values)) == len(values), "depth-1 map is not a bijection")
-        check(all(r.side == self.actor.side for r in self.residual.values()),
+        check(all(r.side == actor.side for r in residual.values()),
               "a residual letter is not on the actor's side")
+        self.actor = actor
+        self.depth1 = depth1
+        self.residual = residual
 
 
 def vertical_local_perm(c: SquareComplex, a: Letter) -> LocalPerm:

@@ -20,7 +20,6 @@ order, at the end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from vhcert.checks import check
 from vhcert.fpgroups import (
@@ -39,18 +38,16 @@ from vhcert.todd_coxeter import (
 )
 
 
-@dataclass(frozen=True)
 class Transversal:
     """Schreier coset representatives; rep of coset 0 is the empty word and
     the set of representatives is prefix-closed."""
 
-    words: tuple
-
-    def __post_init__(self):
-        check(self.words[0] == (), "transversal does not start with the empty word")
-        prefixes = set(self.words)
-        for w in self.words:
+    def __init__(self, words: tuple):
+        check(words[0] == (), "transversal does not start with the empty word")
+        prefixes = set(words)
+        for w in words:
             check(w[:-1] in prefixes, "transversal is not prefix-closed")
+        self.words = words
 
     def __len__(self):
         return len(self.words)

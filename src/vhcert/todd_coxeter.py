@@ -420,17 +420,6 @@ class CosetTable:
             "total_defined": self.total_defined,
         }
 
-    def to_tsv(self) -> str:
-        names = []
-        for gen in self.presentation.generators:
-            names += [gen, gen + "^-1"]
-        lines = ["coset\t" + "\t".join(names)]
-        for alpha, row in enumerate(self.table):
-            lines.append(
-                str(alpha + 1) + "\t" + "\t".join(str(entry + 1) for entry in row)
-            )
-        return "\n".join(lines) + "\n"
-
 
 def enumerate_cosets(p: Presentation, subgens=(), cap: int = 10**6,
                      strategy: str = "hlt") -> CosetTable:

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vhcert
 from vhcert import corpus
 from vhcert.cli import main
 from vhcert.complexes import ComplexError, parse_complex
@@ -40,6 +44,22 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def test_import_leaves_out_unused_stdlib():
+    # -S keeps site-packages .pth files from preloading modules, so this
+    # sees only what importing the CLI pulls in
+    src = str(Path(vhcert.__file__).resolve().parents[1])
+    script = (
+        "import sys, vhcert.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'importlib.resources')"
+        " if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_check_link_pass(capsys, sigma_path):
     code, out = run(capsys, "check-link", sigma_path)
     assert code == 0
@@ -59,6 +79,17 @@ def test_malformed_file_exit_one(capsys, tmp_path):
     bad.write_text("complex broken\nhorizontal a1\nvertical b1\nsquare a1 b1\n")
     code, _ = run(capsys, "check-link", str(bad))
     assert code == 1
+
+
+def test_second_alphabet_line_exit_one(capsys, tmp_path):
+    bad = tmp_path / "twice.vh"
+    bad.write_text("complex t\nhorizontal a1\nvertical b1\n"
+                   "square a1 b1 a1^-1 b1^-1\nhorizontal x1\n")
+    code = main(["check-link", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: line 5: duplicate horizontal line\n"
 
 
 @pytest.mark.parametrize("content", [

@@ -91,6 +91,14 @@ def test_parse_error_carries_line_number():
         parse_complex(text)
 
 
+@pytest.mark.parametrize("kind", ["horizontal", "vertical"])
+def test_parse_rejects_second_alphabet_line(kind):
+    # a second alphabet line would leave earlier squares indexing the old one
+    text = "complex t\nhorizontal a1\nvertical b1\nsquare a1 b1 a1^-1 b1^-1\n"
+    with pytest.raises(ComplexError, match=f"line 5: duplicate {kind} line"):
+        parse_complex(text + f"{kind} x1\n")
+
+
 def test_parse_rejects_wrong_side():
     text = "complex x\nhorizontal a1\nvertical b1\nsquare b1 a1 b1 a1\n"
     with pytest.raises(ComplexError, match="undeclared"):
