@@ -8,6 +8,8 @@ integers, so invariant factors are exact whatever their size.
 
 from __future__ import annotations
 
+from operator import mul
+
 from vhcert.checks import check
 from vhcert.complexes import HORIZONTAL, SquareComplex
 
@@ -181,11 +183,8 @@ def index4_hom(p: Presentation) -> ParityHom:
 
 
 def _mat_mul(a, b):
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 def _eye(k):

@@ -7,16 +7,21 @@ and followed by scans, without definitions, of the relator rotations
 through it: the cyclic rotations of the relators and of their inverses
 that begin with column c, read from alpha (precomputed once per table,
 with their inverse columns and last position).  The deduction loop runs
-these scans inline; ``_scan``, the only other scan, always defines cosets
-to close a relator.  The strategies differ only in how they choose
-definitions: HLT (the default) first scans every relator, in order, from
-the coset with definitions, then both fill the coset's remaining empty
-entries.  The queue is drained after each scan and after each
-definition.  Coincidences are handled by a union-find with an
-immediately processed queue.  A generator that is a relator of length 1
-is the identity on every coset: its entries are set, and queued, when
-the coset is created, since no deduction through another entry would
-reach them.
+these scans inline, and skips, after two lookups, a scan of a rotation of
+length 3 or more that can act neither way: when the entry after the first
+step and the entry before the last are both undefined, the gap is at
+least 2 wide, so there is neither a deduction nor a coincidence to find.
+``_scan``, the only other scan, always defines cosets to close a relator.
+The strategies differ only in how they choose definitions: HLT (the
+default) first scans every relator, in order, from the coset with
+definitions, then both fill the coset's remaining empty entries.  The
+queue is drained after each scan and after each definition.
+Coincidences are handled by a union-find, with the smaller coset
+surviving each merge, and an immediately processed queue of dead cosets;
+a coset that stays live keeps every entry it had, and its entries point
+to live cosets.  A generator that is a relator of length 1 is the
+identity on every coset: its entries are set, and queued, when the coset
+is created, since no deduction through another entry would reach them.
 
 A normal closure puts its added relator first, so HLT scans it, and
 starts collapsing the table with its coincidences, before the relators
@@ -72,7 +77,10 @@ def _word_to_cols(word):
 def _column_rotations(relator_cols, ncols):
     """For each column c, the distinct cyclic rotations of the relators and
     of their inverses that begin with c (proper powers repeat rotations),
-    each as (cols, inverse_cols, last) for the deduction loop's scans."""
+    each as (cols, inverse_cols, last, second, back) for the deduction
+    loop's scans: ``second`` is the rotation's second column and ``back``
+    the inverse of its last, the two entries the loop reads to skip a scan
+    (None for a rotation shorter than 3, which is always scanned)."""
     rotations = [{} for _ in range(ncols)]
     for cols in relator_cols:
         for word in (cols, tuple(c ^ 1 for c in reversed(cols))):
@@ -80,7 +88,11 @@ def _column_rotations(relator_cols, ncols):
                 rot = word[i:] + word[:i]
                 rotations[rot[0]][rot] = None
     return [
-        tuple((rot, tuple(c ^ 1 for c in rot), len(rot) - 1) for rot in by_col)
+        tuple(
+            (rot, tuple(c ^ 1 for c in rot), len(rot) - 1)
+            + ((rot[1], rot[-1] ^ 1) if len(rot) >= 3 else (None, None))
+            for rot in by_col
+        )
         for by_col in rotations
     ]
 
@@ -164,28 +176,21 @@ class CosetTable:
         self._deductions.append((alpha, col))
         return beta
 
-    def _merge(self, a: int, b: int, queue) -> None:
-        p = self.p
-        # rep(k) is k itself, with nothing to compress, when k is live
-        if p[a] != a:
-            a = self.rep(a)
-        if p[b] != b:
-            b = self.rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            p[b] = a
-            self.live -= 1
-            queue.append(b)
-
     def _coincidence(self, a: int, b: int) -> None:
+        """Merge the live cosets a and b and every pair that this forces.
+        Of two merged representatives the smaller survives.  The dead
+        cosets are queued, and each dead row's entries are moved, in
+        order, to its representative; a conflicting entry is one more
+        merge.  The union-find is inline (find with path compression,
+        then merge), as this loop runs once per entry of every dead row."""
         table = self.table
         p = self.p
-        rep = self.rep
-        merge = self._merge
         deductions = self._deductions
-        queue = deque()
-        merge(a, b, queue)
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        live = self.live - 1
+        queue = deque((b,))
         while queue:
             dead = queue.popleft()
             # enumerate reads each entry when it is reached, as the loop
@@ -195,18 +200,44 @@ class CosetTable:
                     continue
                 inv = col ^ 1
                 table[delta][inv] = None
-                mu = rep(dead)
-                nu = delta if p[delta] == delta else rep(delta)
+                mu = p[dead]
+                while p[mu] != mu:
+                    mu = p[mu]
+                k = dead
+                while p[k] != mu:
+                    p[k], k = mu, p[k]
+                nu = delta
+                while p[nu] != nu:
+                    nu = p[nu]
+                k = delta
+                while p[k] != nu:
+                    p[k], k = nu, p[k]
                 mu_row = table[mu]
                 nu_row = table[nu]
-                if mu_row[col] is not None:
-                    merge(nu, mu_row[col], queue)
-                elif nu_row[inv] is not None:
-                    merge(mu, nu_row[inv], queue)
+                other = mu_row[col]
+                if other is not None:
+                    keep = nu
                 else:
-                    mu_row[col] = nu
-                    nu_row[inv] = mu
-                    deductions.append((mu, col))
+                    other = nu_row[inv]
+                    if other is None:
+                        mu_row[col] = nu
+                        nu_row[inv] = mu
+                        deductions.append((mu, col))
+                        continue
+                    keep = mu
+                # merge keep, a representative, with other's representative
+                lam = other
+                while p[lam] != lam:
+                    lam = p[lam]
+                while p[other] != lam:
+                    p[other], other = lam, p[other]
+                if lam != keep:
+                    if lam < keep:
+                        keep, lam = lam, keep
+                    p[lam] = keep
+                    live -= 1
+                    queue.append(lam)
+        self.live = live
 
     def _scan(self, alpha: int, cols) -> None:
         """Scan a relator from alpha, defining cosets to close its gaps."""
@@ -265,6 +296,13 @@ class CosetTable:
         # single gap a deduction, a longer gap nothing.  A coset that died
         # meanwhile is skipped: the coincidence that killed it queued a
         # deduction for each entry it gave its representative.
+        #
+        # A scan's first step reads row[col], which is defined: a live
+        # coset keeps its entries through coincidences.  For a rotation of
+        # length >= 3, when the entry after that step (column ``second``)
+        # and alpha's entry for ``back`` are both undefined, the gap runs
+        # from position 1 to the last, at least 2 wide: that scan can act
+        # neither way and is skipped.
         deductions = self._deductions
         table = self.table
         p = self.p
@@ -274,8 +312,12 @@ class CosetTable:
             alpha, col = deductions.popleft()
             if p[alpha] != alpha:
                 continue
-            for cols, inverse_cols, last in rotations[col]:
-                f, i = alpha, 0
+            row = table[alpha]
+            for cols, inverse_cols, last, second, back in rotations[col]:
+                f = row[col]
+                if second is not None and table[f][second] is None and row[back] is None:
+                    continue
+                i = 1
                 while i <= last:
                     nxt = table[f][cols[i]]
                     if nxt is None:

@@ -211,6 +211,43 @@ def test_witness_last_keeps_the_deduction_work(sigma, witness_closures):
         assert digest == WITNESS_TABLE_DIGEST
 
 
+class _CheckedCoincidences(CosetTable):
+    """Checks the rule that the deduction loop's skip relies on: after a
+    coincidence, every coset still live keeps each entry it had defined,
+    and its entries point to live cosets."""
+
+    coincidences = 0
+
+    def _coincidence(self, a, b):
+        p = self.p
+        before = [
+            (k, [c for c, entry in enumerate(row) if entry is not None])
+            for k, row in enumerate(self.table) if p[k] == k
+        ]
+        super()._coincidence(a, b)
+        self.coincidences += 1
+        for k, defined in before:
+            if p[k] != k:
+                continue
+            row = self.table[k]
+            assert all(row[c] is not None for c in defined), (k, defined, row)
+            assert all(p[entry] == entry for entry in row if entry is not None), (k, row)
+
+
+@pytest.mark.parametrize("strategy,cap", [("hlt", 10**6), ("felsch", 10**6),
+                                          ("hlt", 3060), ("felsch", 5000)])
+def test_coincidences_keep_live_entries(sigma, strategy, cap):
+    # sigma's witness closure, as normal_closure_table builds it; the caps
+    # are those of test_witness_closure_counters, where the cap path
+    # compresses dead rows away and the table still closes
+    p = presentation_from_complex(sigma)
+    w = p.parse_word("a2*a1^-1*a3*a4^-1")
+    quotient = Presentation.build(p.generators, (cyclic_reduce(w),) + p.relators, p.sides)
+    table = _CheckedCoincidences(quotient, (), cap, strategy).run()
+    assert table.index == 4 and table.coincidences > 0
+    assert table.summary() == normal_closure_table(p, w, cap=cap, strategy=strategy).summary()
+
+
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
 def test_cap_hit_in_subgroup_generator_scan_is_exhaustion(strategy):
     # the cap is reached while scanning a subgroup generator from coset 0;
@@ -265,6 +302,43 @@ def test_strategies_agree_on_random_presentations():
             closed += 1
             nontrivial += table.index > 1
     assert closed >= 200 and nontrivial >= 50
+
+
+def _random_presentations():
+    """The presentations and subgroup generators that
+    test_strategies_agree_on_random_presentations draws, in its order."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        ngens = rng.randint(2, 3)
+        relators = [((g, 1),) * rng.randint(2, 5) for g in range(ngens)
+                    if rng.random() < 0.7]
+        relators += [_random_word(rng, ngens, 2, 10) for _ in range(rng.randint(1, 3))]
+        p = Presentation.build(("x", "y", "z")[:ngens], relators)
+        yield p, [_random_word(rng, ngens, 1, 4) for _ in range(rng.randint(0, 2))]
+
+
+# sha256 of the repr of the list of (summary(), table) of each enumeration
+# below, "x" for one that exhausts its cap
+RANDOM_ENUMERATIONS_DIGEST = "e29019152e0533b93f002e8c37df8e20cc17b94c558d28332e6a4dd3c8013944"
+
+
+def test_random_enumerations_are_pinned():
+    # The exact work and tables of both strategies, beyond sigma's one
+    # labelling: relators of length 1 and 2, proper powers, subgroup
+    # generators, and tables that reach the cap and compress their dead
+    # rows.  It moves only if the order of definitions, deductions or
+    # coincidences does.
+    results = []
+    for p, subgens in _random_presentations():
+        for strategy in ("hlt", "felsch"):
+            try:
+                table = enumerate_cosets(p, subgens, 1000, strategy)
+            except EnumerationExhausted:
+                results.append("x")
+            else:
+                results.append((table.summary(), table.table))
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == RANDOM_ENUMERATIONS_DIGEST
 
 
 # generators, relators, subgroup generators, index
