@@ -182,11 +182,6 @@ def index4_hom(p: Presentation) -> ParityHom:
 # Smith normal form
 
 
-def _mat_mul(a, b):
-    columns = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in columns] for row in a]
-
-
 def _eye(k):
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
@@ -301,8 +296,11 @@ def smith_normal_form(matrix):
             row_negate(t)
         factors.append(d[t][t])
 
-    full = [[factors[i] if i == j and i < len(factors) else 0 for j in range(cols)] for i in range(rows)]
-    check(_mat_mul(u, _mat_mul(full, v)) == [list(map(int, row)) for row in matrix],
+    # Rows len(factors) and beyond of D*V are zero, so U*D*V only needs the
+    # first len(factors) columns of U (``map`` stops at the shorter input).
+    dv_columns = list(zip(*([f * x for x in v[i]] for i, f in enumerate(factors)))) or [()] * cols
+    check([[sum(map(mul, row, col)) for col in dv_columns] for row in u]
+          == [list(map(int, row)) for row in matrix],
           "smith normal form transforms do not reproduce the input")
     return factors, u, v
 

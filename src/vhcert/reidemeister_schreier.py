@@ -11,24 +11,22 @@ The Tietze simplifier applies only moves that remove one generator
 together with one relator (eliminating a generator that occurs exactly
 once in some relator), plus free/cyclic reduction, so the difference
 (#relators - #generators) is conserved move by move.  It works on the
-input's generator ids and relator positions throughout, keeps one count
-of generator occurrences per relator, rewrites only the relators in which
-an eliminated generator occurs, and renumbers the survivors once, in
-order, at the end.
+input's generator ids and relator positions throughout, rewrites only the
+relators in which an eliminated generator occurs, and renumbers the
+survivors once, in order, at the end.  A rewrite joins slices of the old
+relator with the replacement or its inverse; every piece is freely
+reduced, so letters cancel only at the junctions and at the two ends.
+A relator's candidates are listed again only after it is rewritten, and
+only once the scan in candidate order reaches it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import insort
+from operator import neg
 
 from vhcert.checks import check
-from vhcert.fpgroups import (
-    Presentation,
-    abelianization,
-    concat,
-    cyclic_reduce,
-    invert_word,
-)
+from vhcert.fpgroups import Presentation, abelianization, cyclic_reduce
 # schreier_generator_words lives beside the tree it reads and is public here too
 from vhcert.todd_coxeter import (
     CosetTable,
@@ -115,51 +113,87 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
     Every applied move removes one generator and one relator, so
     #relators - #generators never changes.  Deterministic for fixed limits.
     """
-    names = dict(enumerate(p.generators))
-    relators = dict(enumerate(p.relators))
-    counts = {idx: Counter(g for g, _ in rel) for idx, rel in relators.items()}
-
+    # Letters are signed ints, +-(id + 1), so that x and -x are inverses.
+    signed = {(g, e): (g + 1) * e for g in range(len(p.generators)) for e in (1, -1)}
+    names = {g + 1: name for g, name in enumerate(p.generators)}
+    relators = {idx: tuple(map(signed.__getitem__, rel)) for idx, rel in enumerate(p.relators)}
+    letter_sets = {idx: set(rel) for idx, rel in relators.items()}
+    # Sorted (length, generator, relator) candidates.  (length, 0, relator)
+    # stands for a new or rewritten relator whose candidates are listed
+    # only when the scan reaches it; they sort after it.
+    queue = sorted((len(rel), 0, idx) for idx, rel in relators.items())
+    total = sum(map(len, relators.values()))
     while True:
         balance = len(relators) - len(names)
-        candidates = sorted(
-            (len(relators[idx]), gen, idx)
-            for idx, count in counts.items()
-            for gen, n in count.items()
-            if n == 1
-        )
-        for length, gen, idx in candidates:
-            rel = relators[idx]
-            pos = next(i for i, (g, _) in enumerate(rel) if g == gen)
-            # rel = u * gen^e * v  =>  gen^e = u^-1 * v^-1
-            u, (_, e), v = rel[:pos], rel[pos], rel[pos + 1:]
-            replacement = concat(invert_word(u), invert_word(v))
-            if e < 0:
-                replacement = invert_word(replacement)
-            grown = sum(
-                len(relators[j]) + count[gen] * (len(replacement) - 1)
-                for j, count in counts.items()
-                if j != idx
-            )
-            if grown > total_length_budget:
+        i = 0
+        while i < len(queue):
+            length, gen, idx = queue[i]
+            if not gen:
+                del queue[i]
+                rel, letters = relators[idx], letter_sets[idx]
+                for x in letters:
+                    if -x not in letters and rel.count(x) == 1:
+                        insort(queue, (length, abs(x), idx))
                 continue
-            del names[gen], relators[idx], counts[idx]
-            images = {1: replacement, -1: invert_word(replacement)}
-            for j, count in counts.items():
-                if gen in count:
-                    relators[j] = cyclic_reduce(
-                        letter
-                        for g, s in relators[j]
-                        for letter in (images[s] if g == gen else ((g, s),))
-                    )
-                    counts[j] = Counter(g for g, _ in relators[j])
+            i += 1
+            rel = relators[idx]
+            x = gen if gen in letter_sets[idx] else -gen
+            pos = rel.index(x)
+            # rel = u * x * v  =>  x = (v * u)^-1; both are freely reduced
+            # because rel is cyclically reduced
+            vu = rel[pos + 1:] + rel[:pos]
+            images = {x: tuple(map(neg, reversed(vu))), -x: vu}
+            holders = [(j, relators[j].count(gen), relators[j].count(-gen))
+                       for j, letters in letter_sets.items()
+                       if j != idx and (gen in letters or -gen in letters)]
+            occurrences = sum(plus + minus for _, plus, minus in holders)
+            if total - length + occurrences * (length - 2) > total_length_budget:
+                continue
+            del names[gen], relators[idx], letter_sets[idx]
+            total -= length
+            for j, plus, minus in holders:
+                old = relators[j]
+                positions = []
+                for y, n in ((gen, plus), (-gen, minus)):
+                    at = -1
+                    for _ in range(n):
+                        at = old.index(y, at + 1)
+                        positions.append(at)
+                pieces, start = [], 0
+                for at in sorted(positions):
+                    pieces += (old[start:at], images[old[at]])
+                    start = at + 1
+                pieces.append(old[start:])
+                # Every piece is freely reduced, so only the junctions cancel.
+                out = []
+                for piece in pieces:
+                    if out and piece and out[-1] == -piece[0]:
+                        k, limit = 1, min(len(out), len(piece))
+                        while k < limit and out[-1 - k] == -piece[k]:
+                            k += 1
+                        del out[-k:]
+                        piece = piece[k:]
+                    out += piece
+                k, n = 0, len(out)
+                while n - 2 * k >= 2 and out[k] == -out[n - 1 - k]:
+                    k += 1
+                relators[j] = rel = tuple(out[k:n - k])
+                letter_sets[j] = set(rel)
+                total += len(rel) - len(old)
             check(len(relators) - len(names) == balance,
                   "Tietze move changed #relators - #generators")
+            touched = {idx}.union(j for j, _, _ in holders)
+            queue = [c for c in queue if c[2] not in touched]
+            queue += [(len(relators[j]), 0, j) for j, _, _ in holders]
+            queue.sort()
             break
         else:
-            new_id = {gen: i for i, gen in enumerate(names)}
-            return Presentation.build(
-                names.values(),
-                [tuple((new_id[g], s) for g, s in rel) for rel in relators.values()],
+            letters = {}
+            for new_id, gen in enumerate(names):
+                letters[gen], letters[-gen] = (new_id, 1), (new_id, -1)
+            return Presentation(
+                tuple(names.values()),
+                tuple(tuple(map(letters.__getitem__, rel)) for rel in relators.values()),
             )
 
 

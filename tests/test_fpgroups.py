@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from vhcert import fpgroups
+from vhcert.checks import VerificationError
 from vhcert.fpgroups import (
     MAX_WORD_LENGTH,
     AbelianInvariants,
@@ -121,6 +123,29 @@ def test_snf_random_matrices():
             [rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)
         ]
         _check_snf(matrix)  # unimodularity, divisibility, and M = U*D*V
+
+
+def test_snf_check_rejects_a_corrupted_transform(monkeypatch):
+    # U starts as a wrong identity, so the tracked U no longer satisfies
+    # M = U*D*V; the check reads only U's first len(factors) columns.
+    eye = fpgroups._eye
+
+    def corrupted_eye(k):
+        m = eye(k)
+        if k == 3:
+            m[2][0] = 1
+        return m
+
+    matrix = [[2, 0], [0, 3], [1, 1]]
+    assert _check_snf(matrix) == [1, 1]
+    monkeypatch.setattr(fpgroups, "_eye", corrupted_eye)
+    with pytest.raises(VerificationError, match="do not reproduce"):
+        smith_normal_form(matrix)
+
+
+def test_snf_empty_and_zero_column_matrices():
+    assert smith_normal_form([]) == ([], [], [])
+    assert smith_normal_form([[], []]) == ([], [[1, 0], [0, 1]], [])
 
 
 def test_abelianization_delta(delta):

@@ -257,3 +257,45 @@ def test_parity_kernel_matches_sympy_reidemeister_schreier(name, monkeypatch):
     assert abelianization(theirs) == abelianization(ours)
     assert (len(theirs.relators) - len(theirs.generators)
             == len(ours.relators) - len(ours.generators))
+
+
+def _random_presentations(count=400):
+    """Seeded small presentations: 1-6 generators, 1-6 relators of 1-9
+    random letters each (reduced by ``build``, so some come out empty)."""
+    rng = random.Random("tietze")
+    for _ in range(count):
+        ngens = rng.randint(1, 6)
+        relators = [
+            [(rng.randrange(ngens), rng.choice((1, -1))) for _ in range(rng.randint(1, 9))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        yield Presentation.build([f"x{i}" for i in range(ngens)], relators)
+
+
+def _digest_of_simplified(presentations, budgets):
+    h = hashlib.sha256()
+    for p in presentations:
+        for budget in budgets:
+            h.update(str(tietze_simplify(p, total_length_budget=budget)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_tietze_random_presentations_are_pinned():
+    # Junction cascades, cyclic reduction after substitution, both signs,
+    # several occurrences per relator, and budgets that reject candidates.
+    assert _digest_of_simplified(_random_presentations(), (10_000, 60, 8)) == (
+        "f8edca80f3b492968d0f49ccc503b477334d4cbb27bc7357ef8144a13504407c"
+    )
+
+
+def test_tietze_closure_of_a1_is_pinned(sigma):
+    # sigma's normal closure of a1 has index 2: 19 generators, 48 relators
+    p = presentation_from_complex(sigma)
+    sub = subgroup_presentation(p, normal_closure_table(p, p.parse_word("a1")))
+    assert (len(sub.generators), len(sub.relators)) == (19, 48)
+    simplified = tietze_simplify(sub)
+    assert (len(simplified.generators), len(simplified.relators),
+            simplified.total_length()) == (3, 32, 3274)
+    assert _digest_of_simplified([sub], (10_000, 500, 50)) == (
+        "0b9073776f6c692747df1e4f51973fbd193c173e6c716bf41e4c8093ef1d3a8a"
+    )
