@@ -61,12 +61,15 @@ class Presentation:
     """
 
     def __init__(self, generators: tuple, relators: tuple, sides: tuple | None = None):
+        letters = {(g, e) for g in range(len(generators)) for e in (1, -1)}
         for rel in relators:
-            if rel != cyclic_reduce(rel):
+            if not letters.issuperset(rel):
+                g, e = next(letter for letter in rel if letter not in letters)
+                raise WordError(f"bad letter ({g}, {e}) in relator")
+            # cyclically reduced: no letter is followed by its inverse,
+            # counting the first letter as the one after the last
+            if any(g == h and e != f for (g, e), (h, f) in zip(rel, rel[1:] + rel[:1])):
                 raise WordError(f"relator {rel!r} is not cyclically reduced")
-            for g, e in rel:
-                if not 0 <= g < len(generators) or e not in (1, -1):
-                    raise WordError(f"bad letter ({g}, {e}) in relator")
         self.generators = generators
         self.relators = relators
         self.sides = sides

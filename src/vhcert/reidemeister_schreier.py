@@ -118,6 +118,13 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
     names = {g + 1: name for g, name in enumerate(p.generators)}
     relators = {idx: tuple(map(signed.__getitem__, rel)) for idx, rel in enumerate(p.relators)}
     letter_sets = {idx: set(rel) for idx, rel in relators.items()}
+    # generator -> the relators that may hold it, either way round: every
+    # relator that holds it, and maybe some that no longer do, which the
+    # letter sets filter out when it is read
+    holding = {gen: set() for gen in names}
+    for idx, letters in letter_sets.items():
+        for x in letters:
+            holding[abs(x)].add(idx)
     # Sorted (length, generator, relator) candidates.  (length, 0, relator)
     # stands for a new or rewritten relator whose candidates are listed
     # only when the scan reaches it; they sort after it.
@@ -144,12 +151,13 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
             vu = rel[pos + 1:] + rel[:pos]
             images = {x: tuple(map(neg, reversed(vu))), -x: vu}
             holders = [(j, relators[j].count(gen), relators[j].count(-gen))
-                       for j, letters in letter_sets.items()
-                       if j != idx and (gen in letters or -gen in letters)]
+                       for j in holding[gen]
+                       if j != idx and j in letter_sets
+                       and (gen in letter_sets[j] or -gen in letter_sets[j])]
             occurrences = sum(plus + minus for _, plus, minus in holders)
             if total - length + occurrences * (length - 2) > total_length_budget:
                 continue
-            del names[gen], relators[idx], letter_sets[idx]
+            del names[gen], relators[idx], letter_sets[idx], holding[gen]
             total -= length
             for j, plus, minus in holders:
                 old = relators[j]
@@ -180,11 +188,16 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
                 relators[j] = rel = tuple(out[k:n - k])
                 letter_sets[j] = set(rel)
                 total += len(rel) - len(old)
+            # a rewritten relator holds no letter that it did not hold
+            # before or that the image of gen does not hold
+            rewritten = [j for j, _, _ in holders]
+            for held in set(map(abs, vu)):
+                holding[held].update(rewritten)
             check(len(relators) - len(names) == balance,
                   "Tietze move changed #relators - #generators")
-            touched = {idx}.union(j for j, _, _ in holders)
+            touched = {idx, *rewritten}
             queue = [c for c in queue if c[2] not in touched]
-            queue += [(len(relators[j]), 0, j) for j, _, _ in holders]
+            queue += [(len(relators[j]), 0, j) for j in rewritten]
             queue.sort()
             break
         else:

@@ -16,6 +16,7 @@ The strategies differ only in how they choose definitions: HLT (the
 default) first scans every relator, in order, from the coset with
 definitions, then both fill the coset's remaining empty entries.  The
 queue is drained after each scan and after each definition.
+
 Coincidences are handled by a union-find, with the smaller coset
 surviving each merge, and an immediately processed queue of dead cosets;
 a coset that stays live keeps every entry it had, and its entries point
@@ -23,14 +24,26 @@ to live cosets.  A generator that is a relator of length 1 is the
 identity on every coset: its entries are set, and queued, when the coset
 is created, since no deduction through another entry would reach them.
 
+Both strategies also keep a preferred definition list (Havas and
+Ramsay's, from ACE): a deduction scan that stops at a gap exactly 2 wide
+records the gap's first entry, and after each HLT relator scan and each
+fill definition the newest recorded entry that is still open (its coset
+live, the entry undefined) is defined, followed by a drain.  The next
+scan through that entry then closes the gap by a deduction.  One
+preferred definition per step keeps the coset order fair: unbounded
+preferring ran Felsch out to its cap.  The list holds the newest
+``PREFERRED_LIMIT`` entries.  The order changes which cosets are defined,
+never the closed table: sigma's witness closure defines 561 cosets with
+HLT and 3,133 with Felsch.
+
 A normal closure puts its added relator first, so HLT scans it, and
 starts collapsing the table with its coincidences, before the relators
 of the group it is added to grow the table.
 
 When the coset cap is reached, the queue is drained; if no coset has died
 the enumeration stops with the resource verdict ``EnumerationExhausted``
-(never "infinite"), otherwise the dead rows are compressed away and the
-loop restarts from coset 0.
+(never "infinite"), otherwise the preferred list is cleared, the dead
+rows are compressed away and the loop restarts from coset 0.
 
 Every closed table, enumerated or built directly, is finished the same
 way: standardized (the live cosets renumbered breadth-first from coset 0,
@@ -55,6 +68,10 @@ from vhcert.fpgroups import (
     index4_hom,
     invert_word,
 )
+
+
+# Capacity of the preferred definition list; the oldest entries fall off.
+PREFERRED_LIMIT = 256
 
 
 class EnumerationExhausted(Exception):
@@ -131,6 +148,7 @@ class CosetTable:
         self.closed = False
         self.tree = None
         self._deductions = deque()
+        self._preferred = deque(maxlen=PREFERRED_LIMIT)
         for col in self.identity_cols:
             self.table[0][col] = self.table[0][col ^ 1] = 0
             self._deductions.append((0, col))
@@ -303,7 +321,12 @@ class CosetTable:
         # and alpha's entry for ``back`` are both undefined, the gap runs
         # from position 1 to the last, at least 2 wide: that scan can act
         # neither way and is skipped.
+        #
+        # A scan that stops at a gap exactly 2 wide records the gap's first
+        # entry as a preferred definition: defining it lets the next scan
+        # of this rotation deduce the second and close the cycle.
         deductions = self._deductions
+        preferred = self._preferred
         table = self.table
         p = self.p
         coincidence = self._coincidence
@@ -348,16 +371,34 @@ class CosetTable:
                     table[f][c] = b
                     table[b][inverse_cols[i]] = f
                     deductions.append((f, c))
+                elif j == i + 1:
+                    preferred.append((f, cols[i]))
+
+    def _define_preferred(self) -> None:
+        """Define the newest recorded gap entry that is still open, if any,
+        and drain; entries of dead cosets and defined entries are dropped."""
+        preferred = self._preferred
+        p = self.p
+        table = self.table
+        while preferred:
+            alpha, col = preferred.pop()
+            if p[alpha] == alpha and table[alpha][col] is None:
+                self._define(alpha, col)
+                self._process_deductions()
+                return
 
     def _enumerate(self, scans) -> None:
         """One pass from coset 0: the subgroup generators are scanned from
         coset 0, then each live coset scans the relators in ``scans`` with
         definitions and fills its remaining empty entries.  The deduction
-        queue is drained after each scan and after each definition."""
+        queue is drained after each scan and after each definition; each
+        relator scan and each fill definition is followed by at most one
+        preferred definition, so the coset order stays fair."""
         table = self.table
         p = self.p
         scan = self._scan
         drain = self._process_deductions
+        prefer = self._define_preferred
         for cols in self.subgen_cols:
             scan(0, cols)
             drain()
@@ -368,6 +409,7 @@ class CosetTable:
                     break
                 scan(alpha, cols)
                 drain()
+                prefer()
             row = table[alpha]
             for col in range(self.ncols):
                 if p[alpha] != alpha:
@@ -375,6 +417,7 @@ class CosetTable:
                 if row[col] is None:
                     self._define(alpha, col)
                     drain()
+                    prefer()
             alpha += 1
 
     # -- closure ------------------------------------------------------------
@@ -393,6 +436,8 @@ class CosetTable:
                 self._process_deductions()
                 if self.live == len(self.table):
                     raise EnumerationExhausted(self.cap) from None
+                # the preferred entries hold row numbers too
+                self._preferred.clear()
                 self._keep_rows(self.live_cosets())
         self._close()
         return self
@@ -481,7 +526,7 @@ def normal_closure_table(p: Presentation, word, cap: int = 10**6,
     The word is the first relator.  HLT scans relators in order, and the
     word is what makes the quotient smaller than ``p``'s group, so its
     coincidences start collapsing the table before the other relators
-    grow it (sigma: 3,079 cosets defined instead of 5,289 with it last).
+    grow it (sigma: 561 cosets defined instead of 1,173 with it last).
     """
     quotient = Presentation.build(
         p.generators, (cyclic_reduce(word),) + p.relators, p.sides

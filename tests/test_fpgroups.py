@@ -52,6 +52,30 @@ def test_cyclic_reduce():
     assert cyclic_reduce(((0, 1), (1, 1), (0, -1))) == ((1, 1),)
 
 
+def test_presentation_rejects_relators_that_are_not_cyclically_reduced():
+    x, X, y, Y = (0, 1), (0, -1), (1, 1), (1, -1)
+    for rel in ((x, y, Y, x), (y, x, X), (X, x)):  # an inner inverse pair
+        with pytest.raises(WordError, match="cyclically reduced"):
+            Presentation(("x", "y"), ((x, y), rel))
+    for rel in ((x, y, X), (Y, x, x, y)):  # the two ends are an inverse pair
+        with pytest.raises(WordError, match="cyclically reduced"):
+            Presentation(("x", "y"), ((x, y), rel))
+    for rel in ((), (x,), (x, x), (x, y, X, Y)):
+        assert Presentation(("x", "y"), ((x, y), rel)).relators[1] == rel
+    with pytest.raises(WordError, match="bad letter"):
+        Presentation(("x", "y"), ((x, (2, 1)),))
+
+
+@given(letters)
+def test_presentation_accepts_exactly_the_cyclically_reduced_relators(raw):
+    rel = tuple(raw)
+    if rel == cyclic_reduce(rel):
+        Presentation(("a", "b", "c", "d"), (rel,))
+    else:
+        with pytest.raises(WordError, match="cyclically reduced"):
+            Presentation(("a", "b", "c", "d"), (rel,))
+
+
 def test_word_parsing_round_trip(sigma):
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")

@@ -171,21 +171,27 @@ def test_witness_closure_counters(sigma, witness_closures):
     # exact work counts: they move only if the order of definitions,
     # deductions and coincidences does
     assert [t.summary() for t in witness_closures.values()] == [
-        {"index": 4, "strategy": "hlt", "max_live": 3041, "total_defined": 3079},
-        {"index": 4, "strategy": "felsch", "max_live": 4940, "total_defined": 5008},
+        {"index": 4, "strategy": "hlt", "max_live": 558, "total_defined": 561},
+        {"index": 4, "strategy": "felsch", "max_live": 3086, "total_defined": 3133},
     ]
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")
     # a cap between peak live and total defined: the cap path compresses
-    # dead rows away and the table still closes
-    for strategy, cap in (("hlt", 3060), ("felsch", 5000)):
-        table = normal_closure_table(p, w, cap=cap, strategy=strategy)
+    # dead rows away and the table still closes.  HLT's closure loses only
+    # 3 cosets, at its end, so no such cap closes it; its cap path runs on
+    # the closure with the witness last (peak 1,160 live, 1,173 defined).
+    last = Presentation.build(p.generators, p.relators + (cyclic_reduce(w),), p.sides)
+    for table, cap in ((enumerate_cosets(last, (), 1165, "hlt"), 1165),
+                       (normal_closure_table(p, w, cap=3100, strategy="felsch"), 3100)):
         assert table.index == 4
         assert table.max_live < cap < table.total_defined
+    for cap in (559, 560):
+        with pytest.raises(EnumerationExhausted):
+            normal_closure_table(p, w, cap=cap, strategy="hlt")
     # a cap below peak live: both strategies exhaust
     for strategy in ("hlt", "felsch"):
         with pytest.raises(EnumerationExhausted):
-            normal_closure_table(p, w, cap=3000, strategy=strategy)
+            normal_closure_table(p, w, cap=500, strategy=strategy)
 
 
 # sha256 of the repr of sigma's standardized index-4 table
@@ -203,8 +209,8 @@ def test_witness_last_keeps_the_deduction_work(sigma, witness_closures):
     last = Presentation.build(p.generators, p.relators + (cyclic_reduce(w),), p.sides)
     tables = {s: enumerate_cosets(last, strategy=s) for s in ("hlt", "felsch")}
     assert [t.summary() for t in tables.values()] == [
-        {"index": 4, "strategy": "hlt", "max_live": 5206, "total_defined": 5289},
-        {"index": 4, "strategy": "felsch", "max_live": 4940, "total_defined": 5008},
+        {"index": 4, "strategy": "hlt", "max_live": 1160, "total_defined": 1173},
+        {"index": 4, "strategy": "felsch", "max_live": 3222, "total_defined": 3271},
     ]
     for table in (*tables.values(), *witness_closures.values()):
         digest = hashlib.sha256(repr(table.table).encode()).hexdigest()
@@ -246,6 +252,64 @@ def test_coincidences_keep_live_entries(sigma, strategy, cap):
     table = _CheckedCoincidences(quotient, (), cap, strategy).run()
     assert table.index == 4 and table.coincidences > 0
     assert table.summary() == normal_closure_table(p, w, cap=cap, strategy=strategy).summary()
+
+
+class _CheckedPreferred(CosetTable):
+    """Checks the preferred definition list: it is empty whenever the cap
+    path compresses the table, and each preferred definition is of a live
+    coset's undefined entry."""
+
+    compressions = preferred = 0
+    closing = in_preferred = False
+
+    def _close(self):
+        self.closing = True
+        super()._close()
+
+    def _keep_rows(self, order):
+        if not self.closing:  # standardizing a closed table keeps rows too
+            assert not self._preferred
+            self.compressions += 1
+        super()._keep_rows(order)
+
+    def _define_preferred(self):
+        self.in_preferred = True
+        try:
+            super()._define_preferred()
+        finally:
+            self.in_preferred = False
+
+    def _define(self, alpha, col):
+        if self.in_preferred:
+            assert self.p[alpha] == alpha and self.table[alpha][col] is None, (alpha, col)
+            self.preferred += 1
+        return super()._define(alpha, col)
+
+
+@pytest.mark.parametrize("strategy,witness_first,cap", [("hlt", False, 1165),
+                                                        ("felsch", True, 3100)])
+def test_preferred_definitions_at_the_cap(sigma, strategy, witness_first, cap):
+    # sigma's witness closure with a cap between peak live and total
+    # defined (for HLT with the witness last, as in
+    # test_witness_closure_counters): it compresses and still closes
+    p = presentation_from_complex(sigma)
+    w = (cyclic_reduce(p.parse_word("a2*a1^-1*a3*a4^-1")),)
+    relators = w + p.relators if witness_first else p.relators + w
+    quotient = Presentation.build(p.generators, relators, p.sides)
+    table = _CheckedPreferred(quotient, (), cap, strategy).run()
+    assert table.index == 4
+    assert table.compressions > 0 and table.preferred > 0
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_preferred_definitions_until_exhaustion(strategy):
+    # a torus word whose quotient is infinite: the table compresses at the
+    # cap, then exhausts it
+    torus = pres(["x", "y"], "x*y*x^-1*y^-1", "x*y*x*y^-1*x^-1*y")
+    table = _CheckedPreferred(torus, (), 2000, strategy)
+    with pytest.raises(EnumerationExhausted):
+        table.run()
+    assert table.compressions > 0 and table.preferred > 0
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
@@ -319,7 +383,7 @@ def _random_presentations():
 
 # sha256 of the repr of the list of (summary(), table) of each enumeration
 # below, "x" for one that exhausts its cap
-RANDOM_ENUMERATIONS_DIGEST = "e29019152e0533b93f002e8c37df8e20cc17b94c558d28332e6a4dd3c8013944"
+RANDOM_ENUMERATIONS_DIGEST = "241649f481c19a7462c09969338e8aeee0dd48995d9ddff68a513d73ed44823f"
 
 
 def test_random_enumerations_are_pinned():
@@ -339,6 +403,22 @@ def test_random_enumerations_are_pinned():
                 results.append((table.summary(), table.table))
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == RANDOM_ENUMERATIONS_DIGEST
+
+
+def test_preferred_definitions_on_random_presentations():
+    # unlike sigma's closures, these record entries of cosets that die
+    # before the entries are popped, and some compress at the cap
+    compressions = preferred = 0
+    for p, subgens in _random_presentations():
+        for strategy in ("hlt", "felsch"):
+            table = _CheckedPreferred(p, subgens, 1000, strategy)
+            try:
+                table.run()
+            except EnumerationExhausted:
+                pass
+            compressions += table.compressions
+            preferred += table.preferred
+    assert compressions > 0 and preferred > 0
 
 
 # generators, relators, subgroup generators, index
