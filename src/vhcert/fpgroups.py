@@ -186,7 +186,10 @@ def index4_hom(p: Presentation) -> ParityHom:
 
 
 def _eye(k):
-    return [[int(i == j) for j in range(k)] for i in range(k)]
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        m[i][i] = 1
+    return m
 
 
 def determinant(matrix) -> int:

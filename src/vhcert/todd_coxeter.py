@@ -5,17 +5,20 @@ deduction queue.  Every new entry (alpha, c), whether a definition, a
 scan's single-gap deduction or an entry made by a coincidence, is queued
 and followed by scans, without definitions, of the relator rotations
 through it: the cyclic rotations of the relators and of their inverses
-that begin with column c, read from alpha (precomputed once per table,
-with their inverse columns and last position).  The deduction loop runs
-these scans inline, and skips, after two lookups, a scan of a rotation of
-length 3 or more that can act neither way: when the entry after the first
-step and the entry before the last are both undefined, the gap is at
-least 2 wide, so there is neither a deduction nor a coincidence to find.
+that begin with column c, read from alpha (precomputed when the
+enumeration starts, with their inverse columns and last position).  The
+deduction loop runs these scans inline, and skips, after two lookups, a
+scan of a rotation of length 3 or more that can act neither way: when the
+entry after the first step and the entry before the last are both
+undefined, the gap is at least 2 wide, so there is neither a deduction
+nor a coincidence to find.
 ``_scan``, the only other scan, always defines cosets to close a relator.
-The strategies differ only in how they choose definitions: HLT (the
-default) first scans every relator, in order, from the coset with
-definitions, then both fill the coset's remaining empty entries.  The
-queue is drained after each scan and after each definition.
+Coset 0 scans every relator, in order, with definitions, in both
+strategies: each relator is trivial in the group, so it closes a cycle at
+coset 0 in every table.  The strategies differ only in the cosets after
+it: HLT (the default) scans every relator from each of them in the same
+way, Felsch does not.  Then each coset fills its remaining empty entries.
+The queue is drained after each scan and after each definition.
 
 Coincidences are handled by a union-find, with the smaller coset
 surviving each merge, and an immediately processed queue of dead cosets;
@@ -26,17 +29,17 @@ is created, since no deduction through another entry would reach them.
 
 Both strategies also keep a preferred definition list (Havas and
 Ramsay's, from ACE): a deduction scan that stops at a gap exactly 2 wide
-records the gap's first entry, and after each HLT relator scan and each
-fill definition the newest recorded entry that is still open (its coset
-live, the entry undefined) is defined, followed by a drain.  The next
-scan through that entry then closes the gap by a deduction.  One
-preferred definition per step keeps the coset order fair: unbounded
-preferring ran Felsch out to its cap.  The list holds the newest
-``PREFERRED_LIMIT`` entries.  The order changes which cosets are defined,
-never the closed table: sigma's witness closure defines 561 cosets with
-HLT and 3,133 with Felsch.
+records the gap's first entry, and after each relator scan with
+definitions and each fill definition the newest recorded entry that is
+still open (its coset live, the entry undefined) is defined, followed by
+a drain.  The next scan through that entry then closes the gap by a
+deduction.  One preferred definition per step keeps the coset order
+fair: unbounded preferring ran Felsch out to its cap.  The list holds
+the newest ``PREFERRED_LIMIT`` entries.  The order changes which cosets
+are defined, never the closed table: sigma's witness closure defines 561
+cosets with HLT and 1,516 with Felsch.
 
-A normal closure puts its added relator first, so HLT scans it, and
+A normal closure puts its added relator first, so coset 0 scans it, and
 starts collapsing the table with its coincidences, before the relators
 of the group it is added to grow the table.
 
@@ -133,7 +136,6 @@ class CosetTable:
         self.strategy = strategy
         self.ncols = 2 * len(presentation.generators)
         self.relator_cols = [ _word_to_cols(r) for r in presentation.relators ]
-        self.column_rotations = _column_rotations(self.relator_cols, self.ncols)
         # Generator columns whose generator is a relator of length 1: each
         # new coset maps itself there in both directions, queued as a
         # deduction, since no deduction through another entry reaches them.
@@ -389,11 +391,12 @@ class CosetTable:
 
     def _enumerate(self, scans) -> None:
         """One pass from coset 0: the subgroup generators are scanned from
-        coset 0, then each live coset scans the relators in ``scans`` with
-        definitions and fills its remaining empty entries.  The deduction
-        queue is drained after each scan and after each definition; each
-        relator scan and each fill definition is followed by at most one
-        preferred definition, so the coset order stays fair."""
+        coset 0, then coset 0 scans every relator and each later live
+        coset the relators in ``scans``, with definitions, and each fills
+        its remaining empty entries.  The deduction queue is drained after
+        each scan and after each definition; each relator scan and each
+        fill definition is followed by at most one preferred definition,
+        so the coset order stays fair."""
         table = self.table
         p = self.p
         scan = self._scan
@@ -404,7 +407,7 @@ class CosetTable:
             drain()
         alpha = 0
         while alpha < len(table):
-            for cols in scans:
+            for cols in scans if alpha else self.relator_cols:
                 if p[alpha] != alpha:
                     break
                 scan(alpha, cols)
@@ -424,8 +427,11 @@ class CosetTable:
 
     def run(self) -> "CosetTable":
         # The only difference between the strategies: HLT scans the
-        # relators from each coset with definitions, Felsch does not.
+        # relators with definitions from each coset after coset 0 as
+        # well, Felsch does not.
         scans = self.relator_cols if self.strategy == "hlt" else ()
+        # here, not in __init__: a directly built table never scans
+        self.column_rotations = _column_rotations(self.relator_cols, self.ncols)
         while True:
             try:
                 self._enumerate(scans)
@@ -523,10 +529,11 @@ def normal_closure_table(p: Presentation, word, cap: int = 10**6,
     """Coset table of the normal closure of ``word``: enumerate the trivial
     subgroup of the quotient with the word added as a relator.
 
-    The word is the first relator.  HLT scans relators in order, and the
-    word is what makes the quotient smaller than ``p``'s group, so its
-    coincidences start collapsing the table before the other relators
-    grow it (sigma: 561 cosets defined instead of 1,173 with it last).
+    The word is the first relator.  Coset 0 scans the relators in order,
+    and the word is what makes the quotient smaller than ``p``'s group, so
+    its coincidences start collapsing the table before the other relators
+    grow it (sigma: HLT defines 561 cosets instead of 1,173 with it last,
+    Felsch 1,516 instead of 2,165).
     """
     quotient = Presentation.build(
         p.generators, (cyclic_reduce(word),) + p.relators, p.sides

@@ -7,6 +7,7 @@ from vhcert import corpus
 from vhcert.fpgroups import (
     Presentation,
     abelianization,
+    cyclic_reduce,
     index4_hom,
     presentation_from_complex,
 )
@@ -205,6 +206,25 @@ def test_subgroup_presentation_from_closure_table(sigma):
     assert len(sub.generators) == 37
     assert len(sub.relators) == 96
     assert is_perfect(sub)
+
+
+def test_witness_closure_has_index_four_by_reidemeister_schreier(sigma):
+    # A route to index 4 that does not enumerate the closure: the witness
+    # lies in the parity kernel K, so the parity table is also a closed
+    # table of the presentation with the witness added, whose
+    # Reidemeister-Schreier presentation presents K/<<w>>.  It is trivial
+    # iff K = <<w>>, that is iff the closure has index 4.  Unsimplified.
+    p = presentation_from_complex(sigma)
+    w = cyclic_reduce(p.parse_word("a2*a1^-1*a3*a4^-1"))
+    quotient = Presentation.build(p.generators, p.relators + (w,), p.sides)
+    table = parity_kernel_table(quotient)
+    assert [table.trace(alpha, w) for alpha in range(4)] == [0, 1, 2, 3]
+    sub = subgroup_presentation(quotient, table)
+    assert len(sub.generators) == 37
+    assert len(sub.relators) == 100
+    assert sum(map(len, sub.relators)) == 367
+    for strategy in ("hlt", "felsch"):
+        assert enumerate_cosets(sub, strategy=strategy).index == 1
 
 
 class _UnusedRewritingSystem:

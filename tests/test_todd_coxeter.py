@@ -172,7 +172,7 @@ def test_witness_closure_counters(sigma, witness_closures):
     # deductions and coincidences does
     assert [t.summary() for t in witness_closures.values()] == [
         {"index": 4, "strategy": "hlt", "max_live": 558, "total_defined": 561},
-        {"index": 4, "strategy": "felsch", "max_live": 3086, "total_defined": 3133},
+        {"index": 4, "strategy": "felsch", "max_live": 1508, "total_defined": 1516},
     ]
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")
@@ -182,7 +182,7 @@ def test_witness_closure_counters(sigma, witness_closures):
     # the closure with the witness last (peak 1,160 live, 1,173 defined).
     last = Presentation.build(p.generators, p.relators + (cyclic_reduce(w),), p.sides)
     for table, cap in ((enumerate_cosets(last, (), 1165, "hlt"), 1165),
-                       (normal_closure_table(p, w, cap=3100, strategy="felsch"), 3100)):
+                       (normal_closure_table(p, w, cap=1512, strategy="felsch"), 1512)):
         assert table.index == 4
         assert table.max_live < cap < table.total_defined
     for cap in (559, 560):
@@ -210,14 +210,31 @@ def test_witness_last_keeps_the_deduction_work(sigma, witness_closures):
     tables = {s: enumerate_cosets(last, strategy=s) for s in ("hlt", "felsch")}
     assert [t.summary() for t in tables.values()] == [
         {"index": 4, "strategy": "hlt", "max_live": 1160, "total_defined": 1173},
-        {"index": 4, "strategy": "felsch", "max_live": 3222, "total_defined": 3271},
+        {"index": 4, "strategy": "felsch", "max_live": 2154, "total_defined": 2165},
     ]
     for table in (*tables.values(), *witness_closures.values()):
         digest = hashlib.sha256(repr(table.table).encode()).hexdigest()
         assert digest == WITNESS_TABLE_DIGEST
 
 
-class _CheckedCoincidences(CosetTable):
+class _CountedCompressions(CosetTable):
+    """Counts the cap path's compressions: the calls of _keep_rows outside
+    _close (standardizing a closed table keeps rows too)."""
+
+    compressions = 0
+    closing = False
+
+    def _close(self):
+        self.closing = True
+        super()._close()
+
+    def _keep_rows(self, order):
+        if not self.closing:
+            self.compressions += 1
+        super()._keep_rows(order)
+
+
+class _CheckedCoincidences(_CountedCompressions):
     """Checks the rule that the deduction loop's skip relies on: after a
     coincidence, every coset still live keeps each entry it had defined,
     and its entries point to live cosets."""
@@ -240,36 +257,40 @@ class _CheckedCoincidences(CosetTable):
             assert all(p[entry] == entry for entry in row if entry is not None), (k, row)
 
 
-@pytest.mark.parametrize("strategy,cap", [("hlt", 10**6), ("felsch", 10**6),
-                                          ("hlt", 3060), ("felsch", 5000)])
-def test_coincidences_keep_live_entries(sigma, strategy, cap):
-    # sigma's witness closure, as normal_closure_table builds it; the caps
-    # are those of test_witness_closure_counters, where the cap path
-    # compresses dead rows away and the table still closes
+def _witness_quotient(sigma, witness_first):
+    """Sigma's presentation with the witness added as a relator, first (as
+    normal_closure_table builds it) or last."""
     p = presentation_from_complex(sigma)
-    w = p.parse_word("a2*a1^-1*a3*a4^-1")
-    quotient = Presentation.build(p.generators, (cyclic_reduce(w),) + p.relators, p.sides)
+    w = (cyclic_reduce(p.parse_word("a2*a1^-1*a3*a4^-1")),)
+    relators = w + p.relators if witness_first else p.relators + w
+    return Presentation.build(p.generators, relators, p.sides)
+
+
+@pytest.mark.parametrize("strategy,witness_first,cap", [("hlt", True, 10**6),
+                                                        ("felsch", True, 10**6),
+                                                        ("hlt", False, 1165),
+                                                        ("felsch", True, 1512)])
+def test_coincidences_keep_live_entries(sigma, strategy, witness_first, cap):
+    # sigma's witness closure; the smaller caps are those of
+    # test_witness_closure_counters, where the cap path compresses dead
+    # rows away and the table still closes
+    quotient = _witness_quotient(sigma, witness_first)
     table = _CheckedCoincidences(quotient, (), cap, strategy).run()
     assert table.index == 4 and table.coincidences > 0
-    assert table.summary() == normal_closure_table(p, w, cap=cap, strategy=strategy).summary()
+    assert (table.compressions > 0) == (cap < 10**6)
+    assert table.summary() == CosetTable(quotient, (), cap, strategy).run().summary()
 
 
-class _CheckedPreferred(CosetTable):
+class _CheckedPreferred(_CountedCompressions):
     """Checks the preferred definition list: it is empty whenever the cap
     path compresses the table, and each preferred definition is of a live
     coset's undefined entry."""
 
-    compressions = preferred = 0
-    closing = in_preferred = False
-
-    def _close(self):
-        self.closing = True
-        super()._close()
+    preferred = 0
+    in_preferred = False
 
     def _keep_rows(self, order):
-        if not self.closing:  # standardizing a closed table keeps rows too
-            assert not self._preferred
-            self.compressions += 1
+        assert self.closing or not self._preferred
         super()._keep_rows(order)
 
     def _define_preferred(self):
@@ -287,15 +308,12 @@ class _CheckedPreferred(CosetTable):
 
 
 @pytest.mark.parametrize("strategy,witness_first,cap", [("hlt", False, 1165),
-                                                        ("felsch", True, 3100)])
+                                                        ("felsch", True, 1512)])
 def test_preferred_definitions_at_the_cap(sigma, strategy, witness_first, cap):
     # sigma's witness closure with a cap between peak live and total
     # defined (for HLT with the witness last, as in
     # test_witness_closure_counters): it compresses and still closes
-    p = presentation_from_complex(sigma)
-    w = (cyclic_reduce(p.parse_word("a2*a1^-1*a3*a4^-1")),)
-    relators = w + p.relators if witness_first else p.relators + w
-    quotient = Presentation.build(p.generators, relators, p.sides)
+    quotient = _witness_quotient(sigma, witness_first)
     table = _CheckedPreferred(quotient, (), cap, strategy).run()
     assert table.index == 4
     assert table.compressions > 0 and table.preferred > 0
@@ -383,7 +401,7 @@ def _random_presentations():
 
 # sha256 of the repr of the list of (summary(), table) of each enumeration
 # below, "x" for one that exhausts its cap
-RANDOM_ENUMERATIONS_DIGEST = "241649f481c19a7462c09969338e8aeee0dd48995d9ddff68a513d73ed44823f"
+RANDOM_ENUMERATIONS_DIGEST = "63dddc0231691e05ae3d7b452529f986dd5264eb8e785ffd703271de3976e0bc"
 
 
 def test_random_enumerations_are_pinned():
