@@ -6,7 +6,9 @@ subcomplex, the Burger-Mozes irreducibility criterion on sphere orders,
 the normal subgroup theorem hypotheses (2-transitive depth-1 local
 groups with nonabelian simple point stabilizers), a coset enumeration
 bounding the index of the normal closure of the witness word, and the
-identification of that closure with the index-4 parity kernel.
+identification of that closure with the index-4 parity kernel.  Each
+step is one function; in the certificate, a failed link condition skips
+the steps listed in ``LINK_SKIPS``, its only rule for that case.
 
 One link of the argument is not machine-checkable here: that the witness
 word lies in every finite-index subgroup of the embedded subcomplex's
@@ -275,6 +277,105 @@ WITNESS_SOURCE = (
     "Wise (1996): the group of this subcomplex is not residually finite, "
     "with the given word in every finite-index subgroup"
 )
+EMBED_CITATION = (
+    "a locally isometric subcomplex embeds pi_1-injectively "
+    "(Bridson-Haefliger II.4.14)"
+)
+CLOSURE_CITATION = "coset enumeration of the quotient by the normal closure"
+
+# The steps that a failed link condition turns into SKIPPED, in order.
+LINK_SKIPS = (
+    ("subcomplex_embedding", EMBED_CITATION),
+    ("irreducibility", "Burger-Mozes irreducibility criterion"),
+    ("normal_subgroup_theorem", "Burger-Mozes normal subgroup theorem"),
+    ("normal_closure_index", CLOSURE_CITATION),
+)
+
+
+def link_check(a: Analysis) -> Step:
+    """The link report of ``check_link`` as the certificate's first step."""
+    c = a.complex
+    values = {
+        "m": c.m,
+        "n": c.n,
+        "squares": len(c.squares),
+        "corners_covered": a.link.corners_covered,
+        "corners_expected": a.link.total_corners,
+        "euler_characteristic": euler_characteristic(c),
+    }
+    return Step(
+        "link_condition", PASS if a.link.ok else FAIL, values,
+        "vertex link must be the complete bipartite graph on the 2m + 2n directions",
+    )
+
+
+def embedding_check(c: Analysis | SquareComplex, word) -> Step:
+    """The bundled delta complex (generators a1..a4, b1..b3) as a subcomplex
+    of ``c``: it satisfies the link condition, its squares are the
+    reference's, and the parsed ``word`` uses only its generators."""
+    a = Analysis.of(c)
+    c = a.complex
+    reference = corpus.load("delta")
+    names = (*reference.hnames, *reference.vnames)
+    missing = [name for name in names if name not in c.hnames and name not in c.vnames]
+    if missing:
+        return Step(
+            "subcomplex_embedding", INAPPLICABLE,
+            {"reason": f"complex has no generators named {', '.join(missing)}"},
+            EMBED_CITATION,
+        )
+    hsub = letters_from_names(c, reference.hnames)
+    vsub = letters_from_names(c, reference.vnames)
+    ok, sub = check_subcomplex(c, hsub, vsub)
+    matches = (sub.m, sub.n, sub.squares) == (reference.m, reference.n, reference.squares)
+    word_inside = all(a.presentation.generators[g] in names for g, _ in word)
+    values = {
+        "horizontal": list(reference.hnames),
+        "vertical": list(reference.vnames),
+        "squares": len(sub.squares),
+        "link_valid": ok,
+        "matches_reference": matches,
+        "reference": reference.name,
+        "word_in_subcomplex": word_inside,
+    }
+    reasons = [reason for failed, reason in (
+        (not ok, "subcomplex violates the link condition"),
+        (not matches, "subcomplex squares differ from the reference"),
+        (not word_inside, "word uses generators outside the subcomplex"),
+    ) if failed]
+    if reasons:
+        values["reason"] = "; ".join(reasons)
+    return Step("subcomplex_embedding", FAIL if reasons else PASS, values, EMBED_CITATION)
+
+
+def closure_check(a: Analysis, word, cap: int, strategy: str):
+    """The normal closure step, and the quotient when the enumeration closed."""
+    values = {"coset_cap": cap, "strategy": strategy}
+    try:
+        table = normal_closure_table(a.presentation, word, cap=cap, strategy=strategy)
+    except EnumerationExhausted:
+        values["reason"] = "enumeration exhausted the coset cap"
+        return Step("normal_closure_index", UNKNOWN, values, CLOSURE_CITATION), None
+    values = {"index": table.index, **values}
+    return Step("normal_closure_index", PASS, values, CLOSURE_CITATION), quotient_structure(table)
+
+
+def identification_check(in_kernel: bool, quotient) -> Step:
+    """PASS when the word is in the parity kernel and the quotient is Z/2 x Z/2."""
+    citation = "an index-4 normal subgroup containing a normal closure of index 4 equals it"
+    if quotient is None:
+        return Step("parity_kernel_identification", SKIPPED,
+                    {"reason": "normal closure index unavailable"}, citation)
+    invariants = list(quotient.invariants.torsion) if quotient.abelian else None
+    values = {
+        "word_in_parity_kernel": in_kernel,
+        "index": quotient.order,
+        "quotient_abelian": quotient.abelian,
+        "quotient_invariants": invariants,
+    }
+    identified = in_kernel and quotient.order == 4 and invariants == [2, 2]
+    return Step("parity_kernel_identification", PASS if identified else INAPPLICABLE,
+                values, citation)
 
 
 def simplicity_certificate(
@@ -291,7 +392,8 @@ def simplicity_certificate(
     delta complex on generators a1..a4, b1..b3; the certificate
     concludes simplicity only when every prerequisite step passed and
     ``assume_nrf`` acknowledges the external non-residual-finiteness
-    theorem for that subcomplex.
+    theorem for that subcomplex.  A failed link condition skips the
+    steps named in ``LINK_SKIPS``.
     """
     a = Analysis.of(c)
     c = a.complex
@@ -299,143 +401,19 @@ def simplicity_certificate(
     if isinstance(word, str):
         word = p.parse_word(word)
     word_text = p.word_to_string(word)
-    reference = corpus.load("delta")
-    sub_h_names, sub_v_names = reference.hnames, reference.vnames
 
-    steps = []
-
-    link = a.link
-    steps.append(Step(
-        "link_condition",
-        PASS if link.ok else FAIL,
-        {
-            "m": c.m,
-            "n": c.n,
-            "squares": len(c.squares),
-            "corners_covered": link.corners_covered,
-            "corners_expected": link.total_corners,
-            "euler_characteristic": euler_characteristic(c),
-        },
-        "vertex link must be the complete bipartite graph on the 2m + 2n directions",
-    ))
-
-    embed_citation = (
-        "a locally isometric subcomplex embeds pi_1-injectively "
-        "(Bridson-Haefliger II.4.14)"
-    )
-    missing = [
-        name for name in (*sub_h_names, *sub_v_names)
-        if name not in c.hnames and name not in c.vnames
-    ]
-    if not link.ok:
-        steps.append(Step(
-            "subcomplex_embedding", SKIPPED,
-            {"reason": "link condition fails"}, embed_citation,
-        ))
-        embedding_ok = False
-    elif missing:
-        steps.append(Step(
-            "subcomplex_embedding", INAPPLICABLE,
-            {"reason": f"complex has no generators named {', '.join(missing)}"},
-            embed_citation,
-        ))
-        embedding_ok = False
-    else:
-        hsub = letters_from_names(c, sub_h_names)
-        vsub = letters_from_names(c, sub_v_names)
-        ok, sub = check_subcomplex(c, hsub, vsub)
-        matches = (
-            sub.m == reference.m
-            and sub.n == reference.n
-            and sub.squares == reference.squares
-        )
-        sub_names = set(sub_h_names) | set(sub_v_names)
-        word_inside = all(p.generators[g] in sub_names for g, _ in word)
-        values = {
-            "horizontal": list(sub_h_names),
-            "vertical": list(sub_v_names),
-            "squares": len(sub.squares),
-            "link_valid": ok,
-            "matches_reference": matches,
-            "reference": reference.name,
-            "word_in_subcomplex": word_inside,
-        }
-        embedding_ok = ok and matches and word_inside
-        if not embedding_ok:
-            reasons = []
-            if not ok:
-                reasons.append("subcomplex violates the link condition")
-            if not matches:
-                reasons.append("subcomplex squares differ from the reference")
-            if not word_inside:
-                reasons.append("word uses generators outside the subcomplex")
-            values["reason"] = "; ".join(reasons)
-        steps.append(Step(
-            "subcomplex_embedding", PASS if embedding_ok else FAIL, values, embed_citation,
-        ))
-
-    if link.ok:
-        irr = a.irreducibility
-        nst = nst_check(a)
-    else:
-        irr = Step("irreducibility", SKIPPED, {"reason": "link condition fails"},
-                   "Burger-Mozes irreducibility criterion")
-        nst = Step("normal_subgroup_theorem", SKIPPED,
-                   {"reason": "link condition fails"},
-                   "Burger-Mozes normal subgroup theorem")
-    steps.append(irr)
-    steps.append(nst)
-
-    closure_citation = "coset enumeration of the quotient by the normal closure"
-    index = None
+    steps = [link_check(a)]
     quotient = None
-    if not link.ok:
-        steps.append(Step("normal_closure_index", SKIPPED,
-                          {"reason": "link condition fails"}, closure_citation))
+    if a.link.ok:
+        steps += [embedding_check(a, word), a.irreducibility, nst_check(a)]
+        closure, quotient = closure_check(a, word, cap, strategy)
+        steps.append(closure)
     else:
-        try:
-            table = normal_closure_table(p, word, cap=cap, strategy=strategy)
-            index = table.index
-            quotient = quotient_structure(table)
-            steps.append(Step(
-                "normal_closure_index", PASS,
-                {"index": index, "coset_cap": cap, "strategy": strategy},
-                closure_citation,
-            ))
-        except EnumerationExhausted:
-            steps.append(Step(
-                "normal_closure_index", UNKNOWN,
-                {"coset_cap": cap, "strategy": strategy,
-                 "reason": "enumeration exhausted the coset cap"},
-                closure_citation,
-            ))
-
-    ident_citation = (
-        "an index-4 normal subgroup containing a normal closure of index 4 equals it"
-    )
-    identified = False
+        steps += [Step(name, SKIPPED, {"reason": "link condition fails"}, citation)
+                  for name, citation in LINK_SKIPS]
+    index = None if quotient is None else quotient.order
     in_kernel = a.parity.in_kernel(word)
-    if index is None:
-        steps.append(Step("parity_kernel_identification", SKIPPED,
-                          {"reason": "normal closure index unavailable"},
-                          ident_citation))
-    else:
-        invariants = (
-            list(quotient.invariants.torsion) if quotient.abelian else None
-        )
-        values = {
-            "word_in_parity_kernel": in_kernel,
-            "index": index,
-            "quotient_abelian": quotient.abelian,
-            "quotient_invariants": invariants,
-        }
-        identified = in_kernel and index == 4 and invariants == [2, 2]
-        steps.append(Step(
-            "parity_kernel_identification",
-            PASS if identified else INAPPLICABLE,
-            values,
-            ident_citation,
-        ))
+    steps.append(identification_check(in_kernel, quotient))
 
     assumptions = [{
         "name": "finite_residual_membership",
@@ -458,17 +436,18 @@ def simplicity_certificate(
     # refutes the membership assumption outright.
     refuted = not in_kernel
     simple = core_pass and assume_nrf and not refuted
+    index_note = (
+        f"; the normal closure of {word_text} has index {index}" if index is not None else ""
+    )
 
     if core_pass and assume_nrf and refuted:
         conclusion = (
             f"the word {word_text} is not in the parity kernel, so it cannot "
             f"lie in the finite residual of {c.name}: the acknowledged "
             "membership assumption is refuted and no simplicity conclusion "
-            "is drawn"
-            + (f"; the normal closure of {word_text} has index {index}"
-               if index is not None else "")
+            "is drawn" + index_note
         )
-    elif simple and identified:
+    elif simple and steps[-1].verdict == PASS:
         conclusion = (
             f"the normal closure of {word_text} equals the finite residual and "
             f"the parity kernel of {c.name}: a finitely presented, torsion-free, "
@@ -490,9 +469,7 @@ def simplicity_certificate(
     elif by_name["normal_subgroup_theorem"].verdict == PASS:
         conclusion = (
             f"every nontrivial normal subgroup of {c.name} has finite index "
-            "(normal subgroup theorem); simplicity is not established"
-            + (f"; the normal closure of {word_text} has index {index}"
-               if index is not None else "")
+            "(normal subgroup theorem); simplicity is not established" + index_note
         )
     else:
         failing = next(
@@ -500,12 +477,4 @@ def simplicity_certificate(
         )
         conclusion = f"no conclusion: step {failing} did not pass"
 
-    return Certificate(
-        complex_name=c.name,
-        word=word_text,
-        steps=steps,
-        assumptions=assumptions,
-        conclusion=conclusion,
-        simple=simple,
-        index=index,
-    )
+    return Certificate(c.name, word_text, steps, assumptions, conclusion, simple, index)

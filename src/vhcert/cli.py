@@ -63,6 +63,12 @@ def _emit(report: dict, as_json: bool, text_lines) -> None:
             print(line)
 
 
+def _link_failure(args, a: Analysis) -> int:
+    _emit({"complex": a.complex.name, "error": "link condition fails"},
+          args.as_json, ["link condition fails"])
+    return EXIT_FAIL
+
+
 def cmd_check_link(args, a: Analysis) -> int:
     c, link = a.complex, a.link
     report = {
@@ -95,9 +101,7 @@ def cmd_check_link(args, a: Analysis) -> int:
 
 def cmd_euler(args, a: Analysis) -> int:
     if not a.link.ok:
-        _emit({"complex": a.complex.name, "error": "link condition fails"},
-              args.as_json, ["link condition fails"])
-        return EXIT_FAIL
+        return _link_failure(args, a)
     chi = euler_characteristic(a.complex)
     _emit({"complex": a.complex.name, "euler_characteristic": chi}, args.as_json,
           [f"euler characteristic: {chi}"])
@@ -106,9 +110,7 @@ def cmd_euler(args, a: Analysis) -> int:
 
 def cmd_local(args, a: Analysis) -> int:
     if not a.link.ok:
-        _emit({"complex": a.complex.name, "error": "link condition fails"},
-              args.as_json, ["link condition fails"])
-        return EXIT_FAIL
+        return _link_failure(args, a)
     c = a.complex
     sides = [args.side] if args.side else ["h", "v"]
     report = {"complex": c.name, "depth": args.depth, "groups": []}

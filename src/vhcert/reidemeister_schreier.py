@@ -117,13 +117,12 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
     signed = {(g, e): (g + 1) * e for g in range(len(p.generators)) for e in (1, -1)}
     names = {g + 1: name for g, name in enumerate(p.generators)}
     relators = {idx: tuple(map(signed.__getitem__, rel)) for idx, rel in enumerate(p.relators)}
-    letter_sets = {idx: set(rel) for idx, rel in relators.items()}
     # generator -> the relators that may hold it, either way round: every
-    # relator that holds it, and maybe some that no longer do, which the
-    # letter sets filter out when it is read
+    # relator that holds it, and maybe some that no longer do, which a
+    # move skips when it counts no occurrence of the generator there
     holding = {gen: set() for gen in names}
-    for idx, letters in letter_sets.items():
-        for x in letters:
+    for idx, rel in relators.items():
+        for x in rel:
             holding[abs(x)].add(idx)
     # Sorted (length, generator, relator) candidates.  (length, 0, relator)
     # stands for a new or rewritten relator whose candidates are listed
@@ -137,27 +136,30 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
             length, gen, idx = queue[i]
             if not gen:
                 del queue[i]
-                rel, letters = relators[idx], letter_sets[idx]
+                rel = relators[idx]
+                letters = set(rel)
                 for x in letters:
                     if -x not in letters and rel.count(x) == 1:
                         insort(queue, (length, abs(x), idx))
                 continue
             i += 1
             rel = relators[idx]
-            x = gen if gen in letter_sets[idx] else -gen
+            x = gen if gen in rel else -gen
             pos = rel.index(x)
             # rel = u * x * v  =>  x = (v * u)^-1; both are freely reduced
             # because rel is cyclically reduced
             vu = rel[pos + 1:] + rel[:pos]
             images = {x: tuple(map(neg, reversed(vu))), -x: vu}
-            holders = [(j, relators[j].count(gen), relators[j].count(-gen))
-                       for j in holding[gen]
-                       if j != idx and j in letter_sets
-                       and (gen in letter_sets[j] or -gen in letter_sets[j])]
+            holders = []
+            for j in holding[gen]:
+                if j != idx and j in relators:
+                    plus, minus = relators[j].count(gen), relators[j].count(-gen)
+                    if plus or minus:
+                        holders.append((j, plus, minus))
             occurrences = sum(plus + minus for _, plus, minus in holders)
             if total - length + occurrences * (length - 2) > total_length_budget:
                 continue
-            del names[gen], relators[idx], letter_sets[idx], holding[gen]
+            del names[gen], relators[idx], holding[gen]
             total -= length
             for j, plus, minus in holders:
                 old = relators[j]
@@ -186,7 +188,6 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
                 while n - 2 * k >= 2 and out[k] == -out[n - 1 - k]:
                     k += 1
                 relators[j] = rel = tuple(out[k:n - k])
-                letter_sets[j] = set(rel)
                 total += len(rel) - len(old)
             # a rewritten relator holds no letter that it did not hold
             # before or that the image of gen does not hold

@@ -17,7 +17,6 @@ from vhcert.complexes import check_subcomplex, letters_from_names
 from vhcert.fpgroups import (
     AbelianInvariants,
     abelianization,
-    determinant,
     presentation_from_complex,
     smith_normal_form,
 )
@@ -41,6 +40,8 @@ from vhcert.todd_coxeter import (
     parity_kernel_table,
     quotient_structure,
 )
+
+from oracles import determinant
 
 DATA = Path(__file__).parent / "data"
 WORD = "a2*a1^-1*a3*a4^-1"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -228,3 +229,33 @@ def test_certificate_computes_each_fact_once(sigma, monkeypatch):
     # and 2-transitivity read the groups' own chains, so there are no
     # restrictions to moved points and no transitivity stabilizers
     assert len(builds) == 5
+
+
+# sha256 over json.dumps(cert.as_dict()) of the eight certificates below,
+# in order; together they reach every verdict and every conclusion branch
+# but one (simple with a closure of index other than 4).
+CERTIFICATE_BRANCHES_DIGEST = (
+    "f3313cd4cf391b12d23362012675241bd17c35d461680839fb15ef93ddd653e7"
+)
+
+
+def test_certificate_branches_digest(lam, delta, sigma):
+    broken = SquareComplex(sigma.name, sigma.hnames, sigma.vnames, sigma.squares[1:])
+    cases = (
+        (sigma, WORD, {"assume_nrf": True, "cap": 10**6, "strategy": "hlt"}),
+        (sigma, WORD, {"assume_nrf": False, "strategy": "felsch"}),
+        (sigma, "a1", {"assume_nrf": True, "cap": 100_000}),
+        (sigma, "a5*a6^-1*a5^-1*a6", {"assume_nrf": True}),
+        (sigma, WORD, {"assume_nrf": True, "cap": 50}),
+        (lam, "a1*b1", {"assume_nrf": True, "cap": 100_000}),
+        (broken, WORD, {"assume_nrf": True}),
+        (delta, "a1", {"assume_nrf": True, "cap": 2_000}),
+    )
+    digest = hashlib.sha256()
+    verdicts = set()
+    for c, word, kwargs in cases:
+        cert = simplicity_certificate(c, word, **kwargs)
+        verdicts.update(s.verdict for s in cert.steps)
+        digest.update(json.dumps(cert.as_dict()).encode())
+    assert verdicts == {PASS, FAIL, INAPPLICABLE, "unknown", "skipped"}
+    assert digest.hexdigest() == CERTIFICATE_BRANCHES_DIGEST

@@ -13,7 +13,6 @@ from vhcert.fpgroups import (
     abelianization,
     concat,
     cyclic_reduce,
-    determinant,
     free_reduce,
     index4_hom,
     invert_word,
@@ -21,6 +20,8 @@ from vhcert.fpgroups import (
     relator_matrix,
     smith_normal_form,
 )
+
+from oracles import determinant
 
 letters = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=12
