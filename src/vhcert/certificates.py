@@ -328,7 +328,7 @@ def embedding_check(c: Analysis | SquareComplex, word) -> Step:
     vsub = letters_from_names(c, reference.vnames)
     ok, sub = check_subcomplex(c, hsub, vsub)
     matches = (sub.m, sub.n, sub.squares) == (reference.m, reference.n, reference.squares)
-    word_inside = all(a.presentation.generators[g] in names for g, _ in word)
+    word_inside = all(a.presentation.generators[x >> 1] in names for x in word)
     values = {
         "horizontal": list(reference.hnames),
         "vertical": list(reference.vnames),
@@ -387,9 +387,9 @@ def simplicity_certificate(
 ) -> Certificate:
     """Run the full chain and assemble a certificate.
 
-    ``word`` is a word over the complex's generators (a Word or a string
-    in the a2*a1^-1 syntax).  The embedded subcomplex is the bundled
-    delta complex on generators a1..a4, b1..b3; the certificate
+    ``word`` is a word over the complex's generators (a tuple of letters
+    or a string in the a2*a1^-1 syntax).  The embedded subcomplex is the
+    bundled delta complex on generators a1..a4, b1..b3; the certificate
     concludes simplicity only when every prerequisite step passed and
     ``assume_nrf`` acknowledges the external non-residual-finiteness
     theorem for that subcomplex.  A failed link condition skips the

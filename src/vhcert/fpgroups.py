@@ -1,9 +1,12 @@
 """Finitely presented groups: words, presentations, the index-4 parity
 homomorphism, and abelianization via exact Smith normal form.
 
-Words are freely reduced tuples of (generator id, +-1); relators are
-additionally cyclically reduced.  All matrix arithmetic is plain Python
-integers, so invariant factors are exact whatever their size.
+A letter is an int: 2g for generator g and 2g + 1 for its inverse, so
+``x ^ 1`` inverts a letter, ``x >> 1`` is its generator, and a letter is
+the coset-table column it acts by.  Words are freely reduced tuples of
+letters; relators are additionally cyclically reduced.  All matrix
+arithmetic is plain Python integers, so invariant factors are exact
+whatever their size.
 """
 
 from __future__ import annotations
@@ -26,23 +29,24 @@ class WordError(ValueError):
 def free_reduce(letters):
     """Cancel adjacent inverse pairs; idempotent."""
     out = []
-    for g, e in letters:
-        if out and out[-1][0] == g and out[-1][1] == -e:
+    for x in letters:
+        if out and out[-1] == x ^ 1:
             out.pop()
         else:
-            out.append((g, e))
+            out.append(x)
     return tuple(out)
 
 
 def cyclic_reduce(word):
-    word = list(free_reduce(word))
-    while len(word) >= 2 and word[0][0] == word[-1][0] and word[0][1] == -word[-1][1]:
-        word = word[1:-1]
-    return tuple(word)
+    word = free_reduce(word)
+    k, n = 0, len(word)
+    while n - 2 * k >= 2 and word[k] == word[n - 1 - k] ^ 1:
+        k += 1
+    return word[k:n - k]
 
 
 def invert_word(word):
-    return tuple((g, -e) for g, e in reversed(word))
+    return tuple(x ^ 1 for x in reversed(word))
 
 
 def concat(*words):
@@ -61,14 +65,14 @@ class Presentation:
     """
 
     def __init__(self, generators: tuple, relators: tuple, sides: tuple | None = None):
-        letters = {(g, e) for g in range(len(generators)) for e in (1, -1)}
+        letters = set(range(2 * len(generators)))
         for rel in relators:
             if not letters.issuperset(rel):
-                g, e = next(letter for letter in rel if letter not in letters)
-                raise WordError(f"bad letter ({g}, {e}) in relator")
+                x = next(x for x in rel if x not in letters)
+                raise WordError(f"bad letter {x!r} in relator")
             # cyclically reduced: no letter is followed by its inverse,
             # counting the first letter as the one after the last
-            if any(g == h and e != f for (g, e), (h, f) in zip(rel, rel[1:] + rel[:1])):
+            if any(x ^ 1 == y for x, y in zip(rel, rel[1:] + rel[:1])):
                 raise WordError(f"relator {rel!r} is not cyclically reduced")
         self.generators = generators
         self.relators = relators
@@ -94,9 +98,7 @@ class Presentation:
     def word_to_string(self, word) -> str:
         if not word:
             return "1"
-        return "*".join(
-            self.generators[g] + ("^-1" if e < 0 else "") for g, e in word
-        )
+        return "*".join(self.generators[x >> 1] + ("^-1" if x & 1 else "") for x in word)
 
     def parse_word(self, text: str):
         """Parse word syntax like ``a2*a1^-1*a3*a4^-1`` (also ``a1^3``).
@@ -123,7 +125,7 @@ class Presentation:
                 f"word has {length} letters, more than the limit of {MAX_WORD_LENGTH}"
             )
         return free_reduce(
-            (g, 1 if power > 0 else -1) for g, power in powers for _ in range(abs(power))
+            2 * g + (power < 0) for g, power in powers for _ in range(abs(power))
         )
 
     def __str__(self):
@@ -141,7 +143,7 @@ def presentation_from_complex(c: SquareComplex) -> Presentation:
         return x.index - 1 if x.side == HORIZONTAL else c.m + x.index - 1
 
     relators = [
-        tuple((letter_id(x), -1 if x.inverted else 1) for x in sq)
+        tuple(2 * letter_id(x) + x.inverted for x in sq)
         for sq in c.squares
     ]
     return Presentation.build(
@@ -165,11 +167,12 @@ class ParityHom:
                 raise WordError(f"relator {rel!r} is not in the parity kernel")
 
     def image(self, word):
+        # modulo 2 the sign of a letter does not matter
         x = y = 0
-        for g, e in word:
-            dx, dy = self.images[g]
-            x += dx * e
-            y += dy * e
+        for letter in word:
+            dx, dy = self.images[letter >> 1]
+            x += dx
+            y += dy
         return (x % 2, y % 2)
 
     def in_kernel(self, word) -> bool:
@@ -322,8 +325,8 @@ def relator_matrix(p: Presentation):
     matrix = []
     for rel in p.relators:
         row = [0] * len(p.generators)
-        for g, e in rel:
-            row[g] += e
+        for x in rel:
+            row[x >> 1] += -1 if x & 1 else 1
         matrix.append(row)
     return matrix
 

@@ -23,10 +23,9 @@ only once the scan in candidate order reaches it.
 from __future__ import annotations
 
 from bisect import insort
-from operator import neg
 
 from vhcert.checks import check
-from vhcert.fpgroups import Presentation, abelianization, cyclic_reduce
+from vhcert.fpgroups import Presentation, abelianization, cyclic_reduce, invert_word
 # schreier_generator_words lives beside the tree it reads and is public here too
 from vhcert.todd_coxeter import (
     CosetTable,
@@ -71,8 +70,9 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
         raise ValueError("presentation does not match the table")
     k = len(table.table)
     entries = _schreier_entries(table)
-    gen_ids = {entry: i for i, entry in enumerate(entries)}
-    names = [f"{p.generators[g]}_{coset}" for coset, g in entries]
+    # the subgroup letter of each non-tree entry's generator
+    gen_letters = {entry: 2 * i for i, entry in enumerate(entries)}
+    names = tuple(f"{p.generators[g]}_{coset}" for coset, g in entries)
     check(len(names) == k * len(p.generators) - (k - 1),
           "Schreier generator count is not k*g - (k-1)")
 
@@ -80,17 +80,13 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
         """Trace ``word`` from ``coset``, emitting one subgroup letter per
         non-tree edge crossed."""
         out = []
-        for g, e in word:
-            if e > 0:
-                edge = (coset, g)
-                coset = table.table[coset][2 * g]
-                if edge in gen_ids:
-                    out.append((gen_ids[edge], 1))
-            else:
-                coset = table.table[coset][2 * g + 1]
-                edge = (coset, g)
-                if edge in gen_ids:
-                    out.append((gen_ids[edge], -1))
+        for x in word:
+            # the entry (coset, g) that x crosses, forwards or backwards
+            end = table.table[coset][x]
+            edge = (end, x >> 1) if x & 1 else (coset, x >> 1)
+            if edge in gen_letters:
+                out.append(gen_letters[edge] | (x & 1))
+            coset = end
         return coset, tuple(out)
 
     relators = []
@@ -100,7 +96,7 @@ def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:
             check(end == coset, "relator does not close up in the table")
             relators.append(cyclic_reduce(rewritten))
     check(len(relators) == k * len(p.relators), "Schreier relator count is not k*r")
-    return Presentation.build(names, relators)
+    return Presentation(names, tuple(relators))
 
 
 def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Presentation:
@@ -113,47 +109,45 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
     Every applied move removes one generator and one relator, so
     #relators - #generators never changes.  Deterministic for fixed limits.
     """
-    # Letters are signed ints, +-(id + 1), so that x and -x are inverses.
-    signed = {(g, e): (g + 1) * e for g in range(len(p.generators)) for e in (1, -1)}
-    names = {g + 1: name for g, name in enumerate(p.generators)}
-    relators = {idx: tuple(map(signed.__getitem__, rel)) for idx, rel in enumerate(p.relators)}
+    names = dict(enumerate(p.generators))
+    relators = dict(enumerate(p.relators))
     # generator -> the relators that may hold it, either way round: every
     # relator that holds it, and maybe some that no longer do, which a
     # move skips when it counts no occurrence of the generator there
     holding = {gen: set() for gen in names}
     for idx, rel in relators.items():
         for x in rel:
-            holding[abs(x)].add(idx)
-    # Sorted (length, generator, relator) candidates.  (length, 0, relator)
+            holding[x >> 1].add(idx)
+    # Sorted (length, generator, relator) candidates.  (length, -1, relator)
     # stands for a new or rewritten relator whose candidates are listed
     # only when the scan reaches it; they sort after it.
-    queue = sorted((len(rel), 0, idx) for idx, rel in relators.items())
+    queue = sorted((len(rel), -1, idx) for idx, rel in relators.items())
     total = sum(map(len, relators.values()))
     while True:
         balance = len(relators) - len(names)
         i = 0
         while i < len(queue):
             length, gen, idx = queue[i]
-            if not gen:
+            if gen < 0:
                 del queue[i]
                 rel = relators[idx]
                 letters = set(rel)
                 for x in letters:
-                    if -x not in letters and rel.count(x) == 1:
-                        insort(queue, (length, abs(x), idx))
+                    if x ^ 1 not in letters and rel.count(x) == 1:
+                        insort(queue, (length, x >> 1, idx))
                 continue
             i += 1
             rel = relators[idx]
-            x = gen if gen in rel else -gen
+            x = 2 * gen if 2 * gen in rel else 2 * gen + 1
             pos = rel.index(x)
             # rel = u * x * v  =>  x = (v * u)^-1; both are freely reduced
             # because rel is cyclically reduced
             vu = rel[pos + 1:] + rel[:pos]
-            images = {x: tuple(map(neg, reversed(vu))), -x: vu}
+            images = {x: invert_word(vu), x ^ 1: vu}
             holders = []
             for j in holding[gen]:
                 if j != idx and j in relators:
-                    plus, minus = relators[j].count(gen), relators[j].count(-gen)
+                    plus, minus = relators[j].count(2 * gen), relators[j].count(2 * gen + 1)
                     if plus or minus:
                         holders.append((j, plus, minus))
             occurrences = sum(plus + minus for _, plus, minus in holders)
@@ -164,7 +158,7 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
             for j, plus, minus in holders:
                 old = relators[j]
                 positions = []
-                for y, n in ((gen, plus), (-gen, minus)):
+                for y, n in ((2 * gen, plus), (2 * gen + 1, minus)):
                     at = -1
                     for _ in range(n):
                         at = old.index(y, at + 1)
@@ -177,37 +171,38 @@ def tietze_simplify(p: Presentation, total_length_budget: int = 10_000) -> Prese
                 # Every piece is freely reduced, so only the junctions cancel.
                 out = []
                 for piece in pieces:
-                    if out and piece and out[-1] == -piece[0]:
+                    if out and piece and out[-1] == piece[0] ^ 1:
                         k, limit = 1, min(len(out), len(piece))
-                        while k < limit and out[-1 - k] == -piece[k]:
+                        while k < limit and out[-1 - k] == piece[k] ^ 1:
                             k += 1
                         del out[-k:]
                         piece = piece[k:]
                     out += piece
                 k, n = 0, len(out)
-                while n - 2 * k >= 2 and out[k] == -out[n - 1 - k]:
+                while n - 2 * k >= 2 and out[k] == out[n - 1 - k] ^ 1:
                     k += 1
                 relators[j] = rel = tuple(out[k:n - k])
                 total += len(rel) - len(old)
             # a rewritten relator holds no letter that it did not hold
             # before or that the image of gen does not hold
             rewritten = [j for j, _, _ in holders]
-            for held in set(map(abs, vu)):
+            for held in {y >> 1 for y in vu}:
                 holding[held].update(rewritten)
             check(len(relators) - len(names) == balance,
                   "Tietze move changed #relators - #generators")
             touched = {idx, *rewritten}
             queue = [c for c in queue if c[2] not in touched]
-            queue += [(len(relators[j]), 0, j) for j in rewritten]
+            queue += [(len(relators[j]), -1, j) for j in rewritten]
             queue.sort()
             break
         else:
-            letters = {}
+            # the survivors keep their order: generator gen becomes new_id
+            renumbered = {}
             for new_id, gen in enumerate(names):
-                letters[gen], letters[-gen] = (new_id, 1), (new_id, -1)
+                renumbered[2 * gen], renumbered[2 * gen + 1] = 2 * new_id, 2 * new_id + 1
             return Presentation(
                 tuple(names.values()),
-                tuple(tuple(map(letters.__getitem__, rel)) for rel in relators.values()),
+                tuple(tuple(map(renumbered.__getitem__, rel)) for rel in relators.values()),
             )
 
 

@@ -1,5 +1,9 @@
 """Coset enumeration over finite presentations.
 
+Column 2g of a table holds the action of generator g and column 2g + 1
+that of its inverse, so a word's letters (see ``fpgroups``) are the
+columns it is traced along, and a relator is scanned as it is stored.
+
 Both strategies run one loop over the live cosets, in order, with one
 deduction queue.  Every new entry (alpha, c), whether a definition, a
 scan's single-gap deduction or an entry made by a coincidence, is queued
@@ -53,7 +57,8 @@ way: standardized (the live cosets renumbered breadth-first from coset 0,
 which makes the table canonical for the subgroup, recording the spanning
 tree of that search) and verified: every column must permute the cosets,
 every relator must trace to its starting coset, and every subgroup
-generator must fix coset 0.  The recorded tree gives the Schreier
+generator, as given, must fix coset 0 (the enumeration scans its cyclic
+reduction, which may not).  The recorded tree gives the Schreier
 transversal and the Schreier generators of the subgroup.
 """
 
@@ -89,12 +94,7 @@ class _CapHit(Exception):
     pass
 
 
-def _word_to_cols(word):
-    """Word letters (g, e) to column indices: 2g for g, 2g+1 for g^-1."""
-    return tuple(2 * g + (1 if e < 0 else 0) for g, e in word)
-
-
-def _column_rotations(relator_cols, ncols):
+def _column_rotations(relators, ncols):
     """For each column c, the distinct cyclic rotations of the relators and
     of their inverses that begin with c (proper powers repeat rotations),
     each as (cols, inverse_cols, last, second, back) for the deduction
@@ -102,8 +102,8 @@ def _column_rotations(relator_cols, ncols):
     the inverse of its last, the two entries the loop reads to skip a scan
     (None for a rotation shorter than 3, which is always scanned)."""
     rotations = [{} for _ in range(ncols)]
-    for cols in relator_cols:
-        for word in (cols, tuple(c ^ 1 for c in reversed(cols))):
+    for cols in relators:
+        for word in (cols, invert_word(cols)):
             for i in range(len(word)):
                 rot = word[i:] + word[:i]
                 rotations[rot[0]][rot] = None
@@ -132,15 +132,16 @@ class CosetTable:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.presentation = presentation
         self.subgens = tuple(subgens)
+        # what the enumeration scans from coset 0
+        self.subgen_cols = tuple(map(cyclic_reduce, self.subgens))
         self.cap = cap
         self.strategy = strategy
         self.ncols = 2 * len(presentation.generators)
-        self.relator_cols = [ _word_to_cols(r) for r in presentation.relators ]
         # Generator columns whose generator is a relator of length 1: each
         # new coset maps itself there in both directions, queued as a
         # deduction, since no deduction through another entry reaches them.
         self.identity_cols = tuple(sorted(
-            {2 * g for r in presentation.relators if len(r) == 1 for g, _ in r}
+            {r[0] & ~1 for r in presentation.relators if len(r) == 1}
         ))
         self.table = [[None] * self.ncols]
         self.p = [0]
@@ -154,10 +155,6 @@ class CosetTable:
         for col in self.identity_cols:
             self.table[0][col] = self.table[0][col ^ 1] = 0
             self._deductions.append((0, col))
-
-    @property
-    def subgen_cols(self):
-        return [_word_to_cols(cyclic_reduce(w)) for w in self.subgens]
 
     # -- union-find ---------------------------------------------------------
 
@@ -407,7 +404,7 @@ class CosetTable:
             drain()
         alpha = 0
         while alpha < len(table):
-            for cols in scans if alpha else self.relator_cols:
+            for cols in scans if alpha else self.presentation.relators:
                 if p[alpha] != alpha:
                     break
                 scan(alpha, cols)
@@ -429,9 +426,10 @@ class CosetTable:
         # The only difference between the strategies: HLT scans the
         # relators with definitions from each coset after coset 0 as
         # well, Felsch does not.
-        scans = self.relator_cols if self.strategy == "hlt" else ()
+        relators = self.presentation.relators
+        scans = relators if self.strategy == "hlt" else ()
         # here, not in __init__: a directly built table never scans
-        self.column_rotations = _column_rotations(self.relator_cols, self.ncols)
+        self.column_rotations = _column_rotations(relators, self.ncols)
         while True:
             try:
                 self._enumerate(scans)
@@ -480,7 +478,7 @@ class CosetTable:
         self.tree = tree
 
     def trace(self, coset: int, word) -> int:
-        for col in _word_to_cols(word):
+        for col in word:
             coset = self.table[coset][col]
         return coset
 
@@ -491,17 +489,15 @@ class CosetTable:
         for col in range(self.ncols):
             column = [self.table[alpha][col] for alpha in range(n)]
             check(sorted(column) == list(range(n)), "column is not a permutation")
-        for cols in self.relator_cols:
+        for cols in self.presentation.relators:
             for alpha in range(n):
                 coset = alpha
                 for col in cols:
                     coset = self.table[coset][col]
                 check(coset == alpha, "relator does not trace to identity")
-        for cols in self.subgen_cols:
-            coset = 0
-            for col in cols:
-                coset = self.table[coset][col]
-            check(coset == 0, "subgroup generator moves coset 0")
+        # the words as given, not the cyclic reductions that were scanned
+        for word in self.subgens:
+            check(self.trace(0, word) == 0, "subgroup generator moves coset 0")
 
     # -- reporting ----------------------------------------------------------
 
@@ -535,9 +531,7 @@ def normal_closure_table(p: Presentation, word, cap: int = 10**6,
     grow it (sigma: HLT defines 561 cosets instead of 1,173 with it last,
     Felsch 1,516 instead of 2,165).
     """
-    quotient = Presentation.build(
-        p.generators, (cyclic_reduce(word),) + p.relators, p.sides
-    )
+    quotient = Presentation(p.generators, (cyclic_reduce(word),) + p.relators, p.sides)
     return enumerate_cosets(quotient, (), cap, strategy)
 
 
@@ -626,7 +620,7 @@ def _transversal_words(table: CosetTable):
     reps = [()]
     for beta in range(1, len(table.table)):
         alpha, col = table.tree[beta]
-        reps.append(reps[alpha] + ((col >> 1, -1 if col & 1 else 1),))
+        reps.append(reps[alpha] + (col,))
     return reps
 
 
@@ -652,7 +646,7 @@ def schreier_generator_words(p: Presentation, table: CosetTable):
     rep(i) * x * rep(i^x)^-1 for each non-tree entry (i, x)."""
     reps = _transversal_words(table)
     return [
-        concat(reps[coset], ((g, 1),), invert_word(reps[table.table[coset][2 * g]]))
+        concat(reps[coset], (2 * g,), invert_word(reps[table.table[coset][2 * g]]))
         for coset, g in _schreier_entries(table)
     ]
 

@@ -184,6 +184,36 @@ def test_certificate_exhaustion_is_reported(sigma):
     assert not cert.simple
 
 
+def test_certificate_concludes_simplicity_at_an_index_other_than_four(sigma, monkeypatch):
+    # Every step of the chain passes but the parity identification: the
+    # closure has index 8, so it is not the parity kernel.  Sigma cannot
+    # get here (each of its nontrivial normal subgroups contains the simple
+    # parity kernel, so has index 1, 2 or 4), so the closure step is
+    # replaced by one that reports index 8 with a cyclic quotient of order 8.
+    import vhcert.certificates as certificates
+    from vhcert.fpgroups import Presentation
+    from vhcert.todd_coxeter import enumerate_cosets, quotient_structure
+
+    def closure_of_index_8(a, word, cap, strategy):
+        order_8 = quotient_structure(enumerate_cosets(Presentation(("x",), ((0,) * 8,))))
+        values = {"index": 8, "coset_cap": cap, "strategy": strategy}
+        return (certificates.Step("normal_closure_index", PASS, values,
+                                  certificates.CLOSURE_CITATION), order_8)
+
+    monkeypatch.setattr(certificates, "closure_check", closure_of_index_8)
+    cert = simplicity_certificate(sigma, WORD, assume_nrf=True)
+    by_name = {s.name: s for s in cert.steps}
+    identification = by_name["parity_kernel_identification"]
+    assert identification.verdict == INAPPLICABLE
+    assert identification.values["index"] == 8
+    assert [s.verdict for s in cert.steps[:-1]] == [PASS] * 5
+    assert cert.simple and cert.index == 8
+    assert cert.conclusion == (
+        "the normal closure of a2*a1^-1*a3*a4^-1 equals the finite residual of "
+        "sigma: a finitely presented, torsion-free, simple group of index 8"
+    )
+
+
 def test_certificate_computes_each_fact_once(sigma, monkeypatch):
     # one link check, one build per local group, one recognition per group,
     # and no permutation group built twice

@@ -9,6 +9,7 @@ from vhcert.fpgroups import (
     abelianization,
     cyclic_reduce,
     index4_hom,
+    invert_word,
     presentation_from_complex,
 )
 from vhcert.reidemeister_schreier import (
@@ -101,7 +102,7 @@ def test_kernel_membership_agrees_with_coset_tracking(sigma):
     hom = index4_hom(p)
     for _ in range(100):
         word = tuple(
-            (rng.randrange(10), rng.choice((1, -1)))
+            2 * rng.randrange(10) + (rng.choice((1, -1)) < 0)
             for _ in range(rng.randrange(12))
         )
         assert hom.in_kernel(word) == (table.trace(0, word) == 0)
@@ -116,11 +117,9 @@ def test_rewritten_relators_expand_to_parent_identities(sigma):
     gen_words = schreier_generator_words(p, table)
     for rel in sub.relators:
         expanded = []
-        for g, e in rel:
-            word = gen_words[g] if e > 0 else tuple(
-                (h, -s) for h, s in reversed(gen_words[g])
-            )
-            expanded.extend(word)
+        for x in rel:
+            word = gen_words[x >> 1]
+            expanded.extend(invert_word(word) if x & 1 else word)
         for coset in range(4):
             assert table.trace(coset, expanded) == coset
 
@@ -250,8 +249,8 @@ def _sympy_kernel_presentation(p, subgens, monkeypatch):
 
     def word(w):
         out = free.identity
-        for g, e in w:
-            out *= letters[g] ** e
+        for x in w:
+            out *= letters[x >> 1] ** (-1 if x & 1 else 1)
         return out
 
     group = fp_groups.FpGroup(free, [word(r) for r in p.relators])
@@ -260,7 +259,7 @@ def _sympy_kernel_presentation(p, subgens, monkeypatch):
     return Presentation.build(
         tuple(str(g) for g in gens),
         [
-            tuple((index[sym], 1 if e > 0 else -1) for sym, e in r.array_form
+            tuple(2 * index[sym] + (e < 0) for sym, e in r.array_form
                   for _ in range(abs(e)))
             for r in rels
         ],
@@ -286,7 +285,8 @@ def _random_presentations(count=400):
     for _ in range(count):
         ngens = rng.randint(1, 6)
         relators = [
-            [(rng.randrange(ngens), rng.choice((1, -1))) for _ in range(rng.randint(1, 9))]
+            [2 * rng.randrange(ngens) + (rng.choice((1, -1)) < 0)
+             for _ in range(rng.randint(1, 9))]
             for _ in range(rng.randint(1, 6))
         ]
         yield Presentation.build([f"x{i}" for i in range(ngens)], relators)
