@@ -317,7 +317,7 @@ def embedding_check(c: Analysis | SquareComplex, word) -> Step:
     c = a.complex
     reference = corpus.load("delta")
     names = (*reference.hnames, *reference.vnames)
-    missing = [name for name in names if name not in c.hnames and name not in c.vnames]
+    missing = [name for name in names if name not in c.names]
     if missing:
         return Step(
             "subcomplex_embedding", INAPPLICABLE,

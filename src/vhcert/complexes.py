@@ -2,8 +2,17 @@
 
 A (2m,2n)-complex has a single vertex, m horizontal loops a_1..a_m, n
 vertical loops b_1..b_n, and mn geometric squares with boundary word
-a b a' b' (positions 1,3 horizontal, positions 2,4 vertical).  The four
-boundary readings
+a b a' b' (positions 1,3 horizontal, positions 2,4 vertical).
+
+A letter is an int, the encoding ``fpgroups`` uses for words: the
+generators a_1..a_m, b_1..b_n are numbered 0..m+n-1 in that order, and
+generator g gives the letter 2g and its inverse the letter 2g + 1.  So
+``x ^ 1`` inverts a letter, ``x >> 1`` is its generator, x is horizontal
+iff x < 2m, and the integer order is the order (side, index, inverted):
+a_1 < a_1^-1 < a_2 < ... < b_n^-1.  A square's four letters are its
+relator in ``presentation_from_complex``.
+
+The four boundary readings
 
     (a, b, a', b')   (a', b', a, b)   (a^-1, b'^-1, a'^-1, b^-1)
     (a'^-1, b^-1, a^-1, b'^-1)
@@ -32,32 +41,13 @@ class LinkError(ValueError):
     """A corner pair is missing or duplicated where uniqueness is assumed."""
 
 
-class Letter(NamedTuple):
-    """An oriented edge: side 'h' or 'v', 1-based index, inversion flag.
-
-    Ordering is (side, index, inverted), so a_1 < a_1^-1 < ... and all
-    horizontal letters sort before all vertical ones.
-    """
-
-    side: str
-    index: int
-    inverted: bool = False
-
-    def inverse(self) -> "Letter":
-        return Letter(self.side, self.index, not self.inverted)
-
-    def __repr__(self):
-        mark = "^-1" if self.inverted else ""
-        return f"{self.side}{self.index}{mark}"
-
-
 class Square(NamedTuple):
     """A geometric square stored as an ordered corner tuple (a, b, a2, b2)."""
 
-    a: Letter
-    b: Letter
-    a2: Letter
-    b2: Letter
+    a: int
+    b: int
+    a2: int
+    b2: int
 
     def forms(self):
         """The four equivalent boundary readings of this square."""
@@ -65,8 +55,8 @@ class Square(NamedTuple):
         return (
             Square(a, b, a2, b2),
             Square(a2, b2, a, b),
-            Square(a.inverse(), b2.inverse(), a2.inverse(), b.inverse()),
-            Square(a2.inverse(), b.inverse(), a.inverse(), b2.inverse()),
+            Square(a ^ 1, b2 ^ 1, a2 ^ 1, b ^ 1),
+            Square(a2 ^ 1, b ^ 1, a ^ 1, b2 ^ 1),
         )
 
     def corners(self):
@@ -78,11 +68,8 @@ class Square(NamedTuple):
         return [((f.a, f.b), (f.a2, f.b2)) for f in self.forms()]
 
 
-def canonical_square(a: Letter, b: Letter, a2: Letter, b2: Letter) -> Square:
+def canonical_square(a: int, b: int, a2: int, b2: int) -> Square:
     """Canonical representative: minimum of the four equivalent forms."""
-    for x, want in ((a, HORIZONTAL), (b, VERTICAL), (a2, HORIZONTAL), (b2, VERTICAL)):
-        if x.side != want:
-            raise ComplexError(f"letter {x!r} on the wrong side of a square")
     return min(Square(a, b, a2, b2).forms())
 
 
@@ -111,6 +98,7 @@ class SquareComplex:
         self.name = name
         self.hnames = hnames
         self.vnames = vnames
+        self.names = hnames + vnames  # indexed by generator number
         self.squares = squares
 
     def _key(self):
@@ -130,15 +118,15 @@ class SquareComplex:
             raise ComplexError("both generator families must be nonempty")
         if len(set(hnames) | set(vnames)) != len(hnames) + len(vnames):
             raise ComplexError("generator names must be distinct")
-        canon = []
+        canon = set()
         for sq in squares:
-            csq = canonical_square(*sq)
-            for x in csq:
-                bound = len(hnames) if x.side == HORIZONTAL else len(vnames)
-                if not 1 <= x.index <= bound:
+            for x, horizontal in zip(sq, (True, False, True, False)):
+                if not 0 <= x < 2 * (len(hnames) + len(vnames)):
                     raise ComplexError(f"letter {x!r} outside the declared alphabet")
-            canon.append(csq)
-        return cls(name, hnames, vnames, tuple(sorted(set(canon))))
+                if (x < 2 * len(hnames)) != horizontal:
+                    raise ComplexError(f"letter {x!r} on the wrong side of a square")
+            canon.add(canonical_square(*sq))
+        return cls(name, hnames, vnames, tuple(sorted(canon)))
 
     @property
     def m(self) -> int:
@@ -148,18 +136,22 @@ class SquareComplex:
     def n(self) -> int:
         return len(self.vnames)
 
+    def side(self, x: int) -> str:
+        if not 0 <= x < 2 * (self.m + self.n):
+            raise ComplexError(f"letter {x!r} outside the alphabet")
+        return HORIZONTAL if x < 2 * self.m else VERTICAL
+
     def horizontal_letters(self):
         """All 2m horizontal letters, plain ones first."""
-        plain = [Letter(HORIZONTAL, i + 1) for i in range(self.m)]
-        return plain + [x.inverse() for x in plain]
+        return [*range(0, 2 * self.m, 2), *range(1, 2 * self.m, 2)]
 
     def vertical_letters(self):
-        plain = [Letter(VERTICAL, j + 1) for j in range(self.n)]
-        return plain + [x.inverse() for x in plain]
+        """All 2n vertical letters, plain ones first."""
+        lo, hi = 2 * self.m, 2 * (self.m + self.n)
+        return [*range(lo, hi, 2), *range(lo + 1, hi, 2)]
 
-    def letter_name(self, x: Letter) -> str:
-        names = self.hnames if x.side == HORIZONTAL else self.vnames
-        return names[x.index - 1] + ("^-1" if x.inverted else "")
+    def letter_name(self, x: int) -> str:
+        return self.names[x >> 1] + ("^-1" if x & 1 else "")
 
     def square_text(self, sq: Square) -> str:
         return " ".join(self.letter_name(x) for x in sq)
@@ -174,7 +166,7 @@ class SquareComplex:
                 entries.setdefault(corner, []).append((partner, sq))
         return entries
 
-    def corner_partner(self, a: Letter, b: Letter):
+    def corner_partner(self, a: int, b: int):
         """The unique (a', b') with a b a' b' a square boundary.
 
         Raises LinkError when the corner is missing or ambiguous, which is
@@ -183,7 +175,8 @@ class SquareComplex:
         hits = self.corner_entries.get((a, b), [])
         if len(hits) != 1:
             raise LinkError(
-                f"corner ({a!r}, {b!r}) occurs in {len(hits)} squares, expected 1"
+                f"corner ({self.letter_name(a)}, {self.letter_name(b)}) occurs in "
+                f"{len(hits)} squares, expected 1"
             )
         return hits[0][0]
 
@@ -218,14 +211,10 @@ def letters_from_names(c: SquareComplex, names: Iterable[str]):
     """Inversion-closed letter set for the given base generator names."""
     out = set()
     for name in names:
-        if name in c.hnames:
-            x = Letter(HORIZONTAL, c.hnames.index(name) + 1)
-        elif name in c.vnames:
-            x = Letter(VERTICAL, c.vnames.index(name) + 1)
-        else:
+        if name not in c.names:
             raise ComplexError(f"unknown generator {name!r}")
-        out.add(x)
-        out.add(x.inverse())
+        g = c.names.index(name)
+        out.update((2 * g, 2 * g + 1))
     return out
 
 
@@ -246,28 +235,19 @@ def check_subcomplex(c: SquareComplex, hsub, vsub):
         if not sub:
             raise ComplexError("subcomplex generator subsets must be nonempty")
         for x in sub:
-            if x.side != side:
-                raise ComplexError(f"letter {x!r} in the wrong subset")
-            if x.inverse() not in sub:
-                raise ComplexError(f"subset not closed under inversion at {x!r}")
+            if c.side(x) != side:
+                raise ComplexError(f"letter {c.letter_name(x)} in the wrong subset")
+            if x ^ 1 not in sub:
+                raise ComplexError(f"subset not closed under inversion at {c.letter_name(x)}")
 
-    hbase = sorted({x.index for x in hsub})
-    vbase = sorted({x.index for x in vsub})
-    hmap = {old: new + 1 for new, old in enumerate(hbase)}
-    vmap = {old: new + 1 for new, old in enumerate(vbase)}
-
-    def remap(x: Letter) -> Letter:
-        table = hmap if x.side == HORIZONTAL else vmap
-        return Letter(x.side, table[x.index], x.inverted)
-
-    inside = [
-        sq for sq in c.squares if all(x in hsub or x in vsub for x in sq)
-    ]
+    # the kept generators renumbered in order, so horizontal ones stay first
+    kept = sorted({x >> 1 for x in hsub | vsub})
+    new = {2 * g + e: 2 * i + e for i, g in enumerate(kept) for e in (0, 1)}
     sub = SquareComplex.build(
         c.name + "_sub",
-        tuple(c.hnames[i - 1] for i in hbase),
-        tuple(c.vnames[j - 1] for j in vbase),
-        [Square(*(remap(x) for x in sq)) for sq in inside],
+        tuple(c.names[g] for g in kept if g < c.m),
+        tuple(c.names[g] for g in kept if g >= c.m),
+        [[new[x] for x in sq] for sq in c.squares if all(x in new for x in sq)],
     )
     return check_link(sub).ok, sub
 
@@ -291,10 +271,10 @@ def parse_complex(text: str) -> SquareComplex:
         base, caret, exp = tok.partition("^")
         if caret and exp != "-1":
             err(lineno, f"bad exponent in {tok!r} (only ^-1 is allowed)")
-        names = hnames if side == HORIZONTAL else vnames
+        names, first = (hnames, 0) if side == HORIZONTAL else (vnames, len(hnames))
         if base not in names:
             err(lineno, f"undeclared {'horizontal' if side == 'h' else 'vertical'} generator {base!r}")
-        return Letter(side, names.index(base) + 1, bool(caret))
+        return 2 * (first + names.index(base)) + bool(caret)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,7 +1,8 @@
 """Finitely presented groups: words, presentations, the index-4 parity
 homomorphism, and abelianization via exact Smith normal form.
 
-A letter is an int: 2g for generator g and 2g + 1 for its inverse, so
+A letter is an int: 2g for generator g and 2g + 1 for its inverse, the
+encoding that ``complexes`` defines from the ``.vh`` parser on, so
 ``x ^ 1`` inverts a letter, ``x >> 1`` is its generator, and a letter is
 the coset-table column it acts by.  Words are freely reduced tuples of
 letters; relators are additionally cyclically reduced.  All matrix
@@ -14,7 +15,7 @@ from __future__ import annotations
 from operator import mul
 
 from vhcert.checks import check
-from vhcert.complexes import HORIZONTAL, SquareComplex
+from vhcert.complexes import HORIZONTAL, VERTICAL, SquareComplex
 
 
 # Words are expanded letter by letter, so ``a1^N`` costs memory linear in N;
@@ -137,19 +138,13 @@ class Presentation:
 
 
 def presentation_from_complex(c: SquareComplex) -> Presentation:
-    """m + n generators and one length-4 relator a b a' b' per square."""
-
-    def letter_id(x):
-        return x.index - 1 if x.side == HORIZONTAL else c.m + x.index - 1
-
-    relators = [
-        tuple(2 * letter_id(x) + x.inverted for x in sq)
-        for sq in c.squares
-    ]
-    return Presentation.build(
-        c.hnames + c.vnames,
-        relators,
-        sides=(HORIZONTAL,) * c.m + ("v",) * c.n,
+    """m + n generators and one length-4 relator a b a' b' per square: its
+    four letters, which share this module's encoding (see ``complexes``)
+    and alternate sides, so they are cyclically reduced."""
+    return Presentation(
+        c.names,
+        tuple(map(tuple, c.squares)),
+        (HORIZONTAL,) * c.m + (VERTICAL,) * c.n,
     )
 
 

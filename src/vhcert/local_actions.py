@@ -7,12 +7,13 @@ a'^-1.  That depth-1 map plus residual letter determines the action on
 every k-sphere by recursion, and the groups these actions generate are
 the local groups of the complex (vertical side generated by a_1..a_m,
 horizontal side by b_1..b_n, acting on reduced words of the other side).
+Letters are the ints of ``complexes``, so ``x ^ 1`` is the inverse of x.
 """
 
 from __future__ import annotations
 
 from vhcert.checks import check
-from vhcert.complexes import HORIZONTAL, VERTICAL, Letter, SquareComplex
+from vhcert.complexes import HORIZONTAL, VERTICAL, SquareComplex
 from vhcert.permgroups import PermGroup, Permutation, bsgs_build
 
 # Sphere sizes grow as d*(d-1)**(k-1); nothing in the certificate chain
@@ -23,49 +24,49 @@ DEFAULT_MAX_DEPTH = 3
 class LocalPerm:
     """Depth-1 action of one letter on the opposite side's letters."""
 
-    def __init__(self, actor: Letter, depth1: dict, residual: dict):
+    def __init__(self, c: SquareComplex, actor: int, depth1: dict, residual: dict):
         values = list(depth1.values())
         check(len(set(values)) == len(values), "depth-1 map is not a bijection")
-        check(all(r.side == actor.side for r in residual.values()),
+        check(all(c.side(r) == c.side(actor) for r in residual.values()),
               "a residual letter is not on the actor's side")
         self.actor = actor
         self.depth1 = depth1
         self.residual = residual
 
 
-def vertical_local_perm(c: SquareComplex, a: Letter) -> LocalPerm:
+def vertical_local_perm(c: SquareComplex, a: int) -> LocalPerm:
     """Action of a horizontal letter on the 2n vertical letters."""
-    if a.side != HORIZONTAL:
-        raise ValueError(f"{a!r} is not horizontal")
+    if c.side(a) != HORIZONTAL:
+        raise ValueError(f"{c.letter_name(a)} is not horizontal")
     depth1 = {}
     residual = {}
     for b in c.vertical_letters():
         a2, b2 = c.corner_partner(a, b)
-        depth1[b] = b2.inverse()
-        residual[b] = a2.inverse()
-    return LocalPerm(a, depth1, residual)
+        depth1[b] = b2 ^ 1
+        residual[b] = a2 ^ 1
+    return LocalPerm(c, a, depth1, residual)
 
 
-def horizontal_local_perm(c: SquareComplex, b: Letter) -> LocalPerm:
+def horizontal_local_perm(c: SquareComplex, b: int) -> LocalPerm:
     """Action of a vertical letter on the 2m horizontal letters.
 
     Mirror of the vertical case via the rotated boundary b a' b' a = 1:
     the square a b x b' is recovered from the corner (x^-1, b^-1), whose
     partner is exactly (a^-1, b'^-1).
     """
-    if b.side != VERTICAL:
-        raise ValueError(f"{b!r} is not vertical")
+    if c.side(b) != VERTICAL:
+        raise ValueError(f"{c.letter_name(b)} is not vertical")
     depth1 = {}
     residual = {}
     for x in c.horizontal_letters():
-        a_inv, b2_inv = c.corner_partner(x.inverse(), b.inverse())
+        a_inv, b2_inv = c.corner_partner(x ^ 1, b ^ 1)
         depth1[x] = a_inv
         residual[x] = b2_inv
-    return LocalPerm(b, depth1, residual)
+    return LocalPerm(c, b, depth1, residual)
 
 
-def local_perm(c: SquareComplex, x: Letter) -> LocalPerm:
-    if x.side == HORIZONTAL:
+def local_perm(c: SquareComplex, x: int) -> LocalPerm:
+    if c.side(x) == HORIZONTAL:
         return vertical_local_perm(c, x)
     return horizontal_local_perm(c, x)
 
@@ -73,16 +74,14 @@ def local_perm(c: SquareComplex, x: Letter) -> LocalPerm:
 class SphereIndex:
     """Ordered enumeration of the reduced words x1..xk over one side.
 
-    Default letter order is plain letters ascending followed by inverted
+    The letter order is plain letters ascending followed by inverted
     letters ascending (b1 < b2 < ... < b1^-1 < ...), which fixes the point
-    labels of every printed sphere permutation.  A custom letter order may
-    be supplied to check that generated-group invariants do not depend on
-    the labelling.  ``actions`` holds the depth-1 action of every letter
-    of the other side, from which each sphere_action on this sphere is
-    computed; it is built once per sphere.
+    labels of every printed sphere permutation.  ``actions`` holds the
+    depth-1 action of every letter of the other side, from which each
+    sphere_action on this sphere is computed; it is built once per sphere.
     """
 
-    def __init__(self, c: SquareComplex, side: str, depth: int, letters=None):
+    def __init__(self, c: SquareComplex, side: str, depth: int):
         if depth < 1:
             raise ValueError("sphere depth must be >= 1")
         if depth > DEFAULT_MAX_DEPTH:
@@ -90,19 +89,17 @@ class SphereIndex:
         own, other = c.horizontal_letters(), c.vertical_letters()
         if side == VERTICAL:
             own, other = other, own
-        if letters is None:
-            letters = own
         self.actions = {x: local_perm(c, x) for x in other}
         self.side = side
         self.depth = depth
-        self.letters = tuple(letters)
+        self.letters = tuple(own)
         words = [()]
         for _ in range(depth):
             words = [
                 w + (x,)
                 for w in words
                 for x in self.letters
-                if not w or x != w[-1].inverse()
+                if not w or x != w[-1] ^ 1
             ]
         self.words = tuple(words)
         self.position = {w: i for i, w in enumerate(self.words)}
@@ -115,14 +112,14 @@ class SphereIndex:
 
 
 def sphere_action(
-    c: SquareComplex, x: Letter, depth: int, sphere: SphereIndex | None = None,
+    c: SquareComplex, x: int, depth: int, sphere: SphereIndex | None = None,
 ) -> Permutation:
     """Permutation induced by ``x`` on the depth-k sphere of the other tree.
 
     Recursion: the image of w1 w2 .. wk under x is depth1_x(w1) followed by
     the image of w2 .. wk under residual_x(w1).
     """
-    opposite = VERTICAL if x.side == HORIZONTAL else HORIZONTAL
+    opposite = VERTICAL if c.side(x) == HORIZONTAL else HORIZONTAL
     if sphere is None:
         sphere = SphereIndex(c, opposite, depth)
 
@@ -165,9 +162,10 @@ def local_group(
         raise ValueError(f"side must be 'h' or 'v', not {side!r}")
     if sphere is None:
         sphere = SphereIndex(c, side, depth)
-    actor_side = VERTICAL if side == HORIZONTAL else HORIZONTAL
-    count = c.n if side == HORIZONTAL else c.m
-    actors = [Letter(actor_side, i + 1) for i in range(count)]
+    if side == HORIZONTAL:
+        actors = c.vertical_letters()[:c.n]
+    else:
+        actors = c.horizontal_letters()[:c.m]
     gens = [sphere_action(c, a, depth, sphere) for a in actors]
     return bsgs_build(gens, degree=len(sphere), order_bound=order_bound)
 

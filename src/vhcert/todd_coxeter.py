@@ -57,8 +57,9 @@ way: standardized (the live cosets renumbered breadth-first from coset 0,
 which makes the table canonical for the subgroup, recording the spanning
 tree of that search) and verified: every column must permute the cosets,
 every relator must trace to its starting coset, and every subgroup
-generator, as given, must fix coset 0 (the enumeration scans its cyclic
-reduction, which may not).  The recorded tree gives the Schreier
+generator, as given, must fix coset 0 (the enumeration scans its free
+reduction from coset 0, which closes it there; a cyclic reduction would
+close a conjugate).  The recorded tree gives the Schreier
 transversal and the Schreier generators of the subgroup.
 """
 
@@ -73,6 +74,7 @@ from vhcert.fpgroups import (
     abelianization,
     concat,
     cyclic_reduce,
+    free_reduce,
     index4_hom,
     invert_word,
 )
@@ -133,7 +135,7 @@ class CosetTable:
         self.presentation = presentation
         self.subgens = tuple(subgens)
         # what the enumeration scans from coset 0
-        self.subgen_cols = tuple(map(cyclic_reduce, self.subgens))
+        self.subgen_cols = tuple(map(free_reduce, self.subgens))
         self.cap = cap
         self.strategy = strategy
         self.ncols = 2 * len(presentation.generators)
@@ -495,7 +497,7 @@ class CosetTable:
                 for col in cols:
                     coset = self.table[coset][col]
                 check(coset == alpha, "relator does not trace to identity")
-        # the words as given, not the cyclic reductions that were scanned
+        # the words as given, not the free reductions that were scanned
         for word in self.subgens:
             check(self.trace(0, word) == 0, "subgroup generator moves coset 0")
 

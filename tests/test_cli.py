@@ -149,6 +149,8 @@ LOCAL_DIGESTS = {
     ("delta", ("--depth", "2"), True): "3d59c977f85bd4ff517314e2fa6656cf8c2d2a432a30769c2c6db19d2fd38835",
     ("sigma", ("--side", "v", "--depth", "2"), False): "116bbd3046f255b1d7cba62bd7f7031420c59ea7663dd10ebb269be5bdfcacbb",
     ("sigma", ("--side", "v", "--depth", "2"), True): "5b584a95bf557304ed7bea7224fd562cc65210500e09ea9a25314d6423ae025d",
+    ("sigma", ("--side", "h", "--depth", "2"), False): "7b9b70d1353f80774a65ffcba1fdd6be7b37a77ccd52e9fac0061e4b800bf4d3",
+    ("sigma", ("--side", "h", "--depth", "2"), True): "d2dac5df8535c4a2d1d85ee219294e56b35bdce75f81f8e8610dfcb936a6fef4",
 }
 
 
@@ -158,6 +160,42 @@ def test_local_output_digest(capsys, corpus_dir, name, extra, as_json):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_DIGESTS[name, extra, as_json]
+
+
+def _sigma_without_first_square():
+    lines = corpus.text("sigma").splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("square"))
+    return "".join(lines[:first] + lines[first + 1:])
+
+
+# Link-failing complexes: sigma without its first square (four missing
+# corners), and two squares sharing the corners (a1, b1) and (a1, b1^-1)
+LINK_FAILURES = {
+    "sigma_minus_first": _sigma_without_first_square,
+    "dup": lambda: (
+        "complex dup\nhorizontal a1\nvertical b1 b2\n"
+        "square a1 b1 a1^-1 b1^-1\n"
+        "square a1 b1 a1^-1 b2^-1\n"
+    ),
+}
+
+# sha256 of `vhcert check-link` stdout on them; pins which missing and
+# duplicated corners are listed, and in what order
+CHECK_LINK_DIGESTS = {
+    ("sigma_minus_first", False): "14c81f684689f92b383a98c2335a5b7b87baaf20036a6c3b1c8b1dc83a0c1b11",
+    ("sigma_minus_first", True): "6be4334097e96dd9c7c66a9d1fc869e34ba37380385a91d1dec736111fbd31ae",
+    ("dup", False): "aae4da7c1443de6241184d1c5a62b4cc1d4e5d4ea1eb7c96aa2d4918df0411a9",
+    ("dup", True): "cf66024abe5e078a225110bc1ebfafa86d09219cbf8b73df5e2ec243f677bef4",
+}
+
+
+@pytest.mark.parametrize("name, as_json", list(CHECK_LINK_DIGESTS))
+def test_check_link_failure_digest(capsys, tmp_path, name, as_json):
+    path = tmp_path / f"{name}.vh"
+    path.write_text(LINK_FAILURES[name](), encoding="utf-8")
+    code, out = run(capsys, "check-link", str(path), *["--json"] * as_json)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_LINK_DIGESTS[name, as_json]
 
 
 def test_irreducible(capsys, lambda_path):

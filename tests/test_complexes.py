@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from vhcert import corpus
 from vhcert.complexes import (
     ComplexError,
-    Letter,
     Square,
     SquareComplex,
     canonical_square,
@@ -15,6 +14,19 @@ from vhcert.complexes import (
     parse_complex,
     render_complex,
 )
+from vhcert.fpgroups import presentation_from_complex
+
+# Letters of a complex with M horizontal generators: a_i is 2(i - 1), b_j
+# is 2(M + j - 1), and each inverse is one more.
+M = 4
+
+
+def h(i, inverted=False):
+    return 2 * (i - 1) + inverted
+
+
+def v(j, inverted=False):
+    return 2 * (M + j - 1) + inverted
 
 
 def test_corpus_shapes(lam, delta, sigma):
@@ -31,24 +43,35 @@ def test_link_holds_on_corpus(lam, delta, sigma):
         assert report.corners_covered == corners
 
 
-def test_letter_involution():
-    x = Letter("h", 2)
-    assert x.inverse().inverse() == x
-    assert x.inverse() != x
+def test_letter_involution(sigma):
+    x = h(2)
+    assert x ^ 1 ^ 1 == x
+    assert x ^ 1 != x
+    assert (sigma.letter_name(x), sigma.letter_name(x ^ 1)) == ("a2", "a2^-1")
+
+
+def test_parsed_letters_are_the_presentation_letters():
+    # a1 is generator 0 and b1 generator 1: letters 0, 1 and 2, 3
+    c = parse_complex("complex t\nhorizontal a1\nvertical b1\nsquare a1 b1 a1^-1 b1^-1\n")
+    assert c.squares == ((0, 2, 1, 3),)
+    p = presentation_from_complex(c)
+    assert p.relators == ((0, 2, 1, 3),)
+    assert p.word_to_string(p.relators[0]) == "a1*b1*a1^-1*b1^-1"
+    assert [c.side(x) for x in range(4)] == ["h", "h", "v", "v"]
 
 
 def test_canonical_square_identifies_cyclic_form():
-    a1, a2 = Letter("h", 1), Letter("h", 2)
-    b2, b3 = Letter("v", 2), Letter("v", 3)
-    first = canonical_square(a1, b3, a2, b2.inverse())
-    second = canonical_square(a2, b2.inverse(), a1, b3)
+    a1, a2 = h(1), h(2)
+    b2, b3 = v(2), v(3)
+    first = canonical_square(a1, b3, a2, b2 ^ 1)
+    second = canonical_square(a2, b2 ^ 1, a1, b3)
     assert first == second
 
 
 def test_canonical_square_identifies_inverse_form():
-    a1, b1 = Letter("h", 1), Letter("v", 1)
-    first = canonical_square(a1, b1, a1.inverse(), b1.inverse())
-    second = canonical_square(a1.inverse(), b1, a1, b1.inverse())
+    a1, b1 = h(1), v(1)
+    first = canonical_square(a1, b1, a1 ^ 1, b1 ^ 1)
+    second = canonical_square(a1 ^ 1, b1, a1, b1 ^ 1)
     assert first == second
 
 
@@ -58,13 +81,19 @@ def test_canonical_idempotent_on_sigma(sigma):
 
 
 def test_canonical_rejects_side_violation():
-    a, b = Letter("h", 1), Letter("v", 1)
-    with pytest.raises(ComplexError):
-        canonical_square(b, a, b.inverse(), a.inverse())
+    a, b = 0, 2  # a1 and b1 of a (2,2)-complex
+    with pytest.raises(ComplexError, match="wrong side"):
+        SquareComplex.build("x", ("a1",), ("b1",), [(b, a, b ^ 1, a ^ 1)])
 
 
-letters_h = st.builds(Letter, st.just("h"), st.integers(1, 4), st.booleans())
-letters_v = st.builds(Letter, st.just("v"), st.integers(1, 4), st.booleans())
+@pytest.mark.parametrize("x", [-1, 4, 7])
+def test_build_rejects_letters_outside_the_alphabet(x):
+    with pytest.raises(ComplexError, match="outside the declared alphabet"):
+        SquareComplex.build("x", ("a1",), ("b1",), [(0, 2, 1, x)])
+
+
+letters_h = st.builds(h, st.integers(1, 4), st.booleans())
+letters_v = st.builds(v, st.integers(1, 4), st.booleans())
 
 
 @given(letters_h, letters_v, letters_h, letters_v)
@@ -175,9 +204,20 @@ def test_subcomplex_rejects_non_inversion_closed(sigma):
     with pytest.raises(ComplexError, match="inversion"):
         check_subcomplex(
             sigma,
-            {Letter("h", 1)},
+            {h(1)},
             letters_from_names(sigma, ["b1"]),
         )
+
+
+@pytest.mark.parametrize("hsub, message", [
+    ({-2, -1}, "outside the alphabet"),
+    ({0, 1, 20, 21}, "outside the alphabet"),
+    ({0, 1, 12, 13}, "b1 in the wrong subset"),
+], ids=["negative", "past_the_end", "wrong_side"])
+def test_subcomplex_rejects_bad_letters(sigma, hsub, message):
+    # sigma has 6 + 4 generators, so its letters are 0..19 and b1 is 12
+    with pytest.raises(ComplexError, match=message):
+        check_subcomplex(sigma, hsub, letters_from_names(sigma, ["b1"]))
 
 
 def test_subcomplex_full_true_for_all_corpus(lam, delta, sigma):

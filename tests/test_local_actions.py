@@ -4,7 +4,7 @@ import pytest
 
 from vhcert import corpus
 from vhcert.certificates import Analysis
-from vhcert.complexes import Letter
+from vhcert.complexes import ComplexError, LinkError, SquareComplex, parse_complex
 from vhcert.local_actions import (
     SphereIndex,
     depth_order_bound,
@@ -16,45 +16,57 @@ from vhcert.local_actions import (
 from vhcert.permgroups import PermGroup
 
 
-def _vletter(spec: str) -> Letter:
-    inverted = spec.endswith("'")
-    return Letter("v", int(spec.rstrip("'")[1:]), inverted)
+def _letter(c, name: str) -> int:
+    """The letter of a generator name, suffixed ' for the inverse."""
+    return 2 * c.names.index(name.rstrip("'")) + name.endswith("'")
 
 
 def test_lambda_a1_depth1_map(lam):
     # corner rule applied to the four squares containing a1 (and inverse forms)
-    lp = vertical_local_perm(lam, Letter("h", 1))
+    lp = vertical_local_perm(lam, _letter(lam, "a1"))
     expected = {
         "b1": "b1", "b2": "b3", "b3": "b2",
         "b1'": "b1'", "b2'": "b3'", "b3'": "b2'",
     }
     for src, dst in expected.items():
-        assert lp.depth1[_vletter(src)] == _vletter(dst)
+        assert lp.depth1[_letter(lam, src)] == _letter(lam, dst)
 
 
 def test_commuting_square_gives_identity_map():
-    from vhcert.complexes import parse_complex
-
     c = parse_complex(
         "complex torus\nhorizontal a1\nvertical b1\nsquare a1 b1 a1^-1 b1^-1\n"
     )
-    lp = vertical_local_perm(c, Letter("h", 1))
+    lp = vertical_local_perm(c, _letter(c, "a1"))
     assert all(lp.depth1[b] == b for b in c.vertical_letters())
 
 
 def test_sigma_a6_maps_b3_to_b4(sigma):
-    lp = vertical_local_perm(sigma, Letter("h", 6))
-    assert lp.depth1[Letter("v", 3)] == Letter("v", 4)
+    lp = vertical_local_perm(sigma, _letter(sigma, "a6"))
+    assert lp.depth1[_letter(sigma, "b3")] == _letter(sigma, "b4")
 
 
 def test_lambda_b1_fixes_a1(lam):
-    lp = horizontal_local_perm(lam, Letter("v", 1))
-    assert lp.depth1[Letter("h", 1)] == Letter("h", 1)
+    lp = horizontal_local_perm(lam, _letter(lam, "b1"))
+    assert lp.depth1[_letter(lam, "a1")] == _letter(lam, "a1")
 
 
 def test_sigma_b4_maps_a3_to_a1_inverse(sigma):
-    lp = horizontal_local_perm(sigma, Letter("v", 4))
-    assert lp.depth1[Letter("h", 3)] == Letter("h", 1, True)
+    lp = horizontal_local_perm(sigma, _letter(sigma, "b4"))
+    assert lp.depth1[_letter(sigma, "a3")] == _letter(sigma, "a1'")
+
+
+def test_errors_name_the_generators(sigma):
+    with pytest.raises(ValueError, match=r"^b1 is not horizontal$"):
+        vertical_local_perm(sigma, _letter(sigma, "b1"))
+    with pytest.raises(ValueError, match=r"^a1\^-1 is not vertical$"):
+        horizontal_local_perm(sigma, _letter(sigma, "a1'"))
+    for x in (-1, 20):  # sigma's letters are 0..19
+        with pytest.raises(ComplexError, match=f"^letter {x} outside the alphabet$"):
+            vertical_local_perm(sigma, x)
+    broken = SquareComplex(sigma.name, sigma.hnames, sigma.vnames, sigma.squares[1:])
+    a, b = sigma.squares[0][:2]
+    with pytest.raises(LinkError, match=r"^corner \(a1, b1\) occurs in 0 squares"):
+        broken.corner_partner(a, b)
 
 
 def test_depth1_maps_are_bijections(lam, delta, sigma):
@@ -69,8 +81,8 @@ def test_depth1_maps_are_bijections(lam, delta, sigma):
 
 def test_sphere_action_depth1_is_depth1_map(lam):
     sphere = SphereIndex(lam, "v", 1)
-    lp = vertical_local_perm(lam, Letter("h", 2))
-    perm = sphere_action(lam, Letter("h", 2), 1, sphere)
+    lp = vertical_local_perm(lam, _letter(lam, "a2"))
+    perm = sphere_action(lam, _letter(lam, "a2"), 1, sphere)
     for i, (letter,) in enumerate(sphere.words):
         assert sphere.words[perm(i)] == (lp.depth1[letter],)
 
@@ -112,7 +124,7 @@ def test_depth_cap():
 
     lam = corpus.load("lambda")
     with pytest.raises(ValueError, match="cap"):
-        sphere_action(lam, Letter("h", 1), 4)
+        sphere_action(lam, _letter(lam, "a1"), 4)
 
 
 def test_depth_cap_refuses_before_building_the_sphere(sigma, monkeypatch):
@@ -126,7 +138,7 @@ def test_depth_cap_refuses_before_building_the_sphere(sigma, monkeypatch):
         with pytest.raises(ValueError, match="cap"):
             local_group(sigma, side, 4)
     with pytest.raises(ValueError, match="cap"):
-        sphere_action(sigma, Letter("h", 1), 4)
+        sphere_action(sigma, _letter(sigma, "a1"), 4)
     assert built == []
 
 
@@ -150,12 +162,17 @@ def test_lambda_depth2_order(lam):
 
 
 def test_order_invariant_under_relabelling(lam):
-    # shuffle the sphere enumeration; generated-group order cannot change
-    rng = random.Random(7)
-    letters = lam.vertical_letters()
-    rng.shuffle(letters)
-    shuffled = SphereIndex(lam, "v", 2, letters=letters)
-    assert local_group(lam, "v", 2, sphere=shuffled).order == 360 * 60**6
+    # renumber the vertical generators by shuffling their declaration, which
+    # relabels every sphere point; the generated group's order cannot change
+    lines = corpus.text("lambda").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("vertical"))
+    names = lines[at].split()[1:]
+    random.Random(7).shuffle(names)
+    assert names != sorted(names)
+    lines[at] = "vertical " + " ".join(names)
+    shuffled = parse_complex("\n".join(lines))
+    assert shuffled.vnames == tuple(names)
+    assert local_group(shuffled, "v", 2).order == 360 * 60**6
 
 
 def _depth_bound(c, side, depth):

@@ -119,15 +119,19 @@ def test_subgroup_generators_restrict_enumeration():
 
 
 def test_closed_table_is_verified_against_the_subgroup_words_as_given():
-    # The enumeration scans the cyclic reduction of each subgroup
-    # generator, which for x*y*x^-1 is y: it closes the table of <y>
-    # (index 3), although <y, x*y*x^-1> is all of S3.  verify_closed traces
-    # the words as given, so that table is refused, not returned.
+    # The enumeration scans x*y*x^-1 as given from coset 0, not its cyclic
+    # reduction y, so <y, x*y*x^-1> closes as all of S3.
     p = pres(["x", "y"], "x^3", "y^2", "x*y*x*y")
+    y, conjugate = p.parse_word("y"), p.parse_word("x*y*x^-1")
     for strategy in ("hlt", "felsch"):
-        with pytest.raises(VerificationError, match="moves coset 0"):
-            enumerate_cosets(p, [p.parse_word("y"), p.parse_word("x*y*x^-1")],
-                             strategy=strategy)
+        assert enumerate_cosets(p, [y, conjugate], strategy=strategy).index == 1
+    # verify_closed traces the words as given: the table of <y> (index 3)
+    # is refused for x*y*x^-1, which moves coset 0
+    table = enumerate_cosets(p, [y])
+    assert table.index == 3
+    table.subgens = (conjugate,)
+    with pytest.raises(VerificationError, match="moves coset 0"):
+        table.verify_closed()
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +418,7 @@ def _random_presentations():
 
 # sha256 of the repr of the list of (summary(), table) of each enumeration
 # below, "x" for one that exhausts its cap
-RANDOM_ENUMERATIONS_DIGEST = "63dddc0231691e05ae3d7b452529f986dd5264eb8e785ffd703271de3976e0bc"
+RANDOM_ENUMERATIONS_DIGEST = "f692c712739c72585acd0fbdb57d9370d00d76d19d90dd7cd6c74a2fc5ca89f1"
 
 
 def test_random_enumerations_are_pinned():
@@ -623,11 +627,14 @@ def test_verification_survives_optimize_flag():
         "    subgroup_presentation(odd, parity_kernel_table(p))\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
-        "from vhcert.complexes import Letter\n"
         "from vhcert.local_actions import LocalPerm\n"
+        "lam = corpus.load('lambda')  # a1 is letter 0, b1 and b2 are 6 and 8\n"
         "try:\n"
-        "    LocalPerm(Letter('h', 1), {Letter('v', 1): Letter('v', 1),\n"
-        "                               Letter('v', 2): Letter('v', 1)}, {})\n"
+        "    LocalPerm(lam, 0, {6: 6, 8: 6}, {})\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "try:\n"
+        "    LocalPerm(lam, 0, {6: 6}, {6: 6})\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
         "from vhcert.fpgroups import AbelianInvariants\n"
@@ -648,5 +655,6 @@ def test_verification_survives_optimize_flag():
         "VerificationError transversal is not prefix-closed\n"
         "VerificationError relator does not close up in the table\n"
         "VerificationError depth-1 map is not a bijection\n"
+        "VerificationError a residual letter is not on the actor's side\n"
         "VerificationError torsion coefficients must form a divisor chain\n"
     )
