@@ -19,7 +19,6 @@ simplicity conclusion.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 from typing import NamedTuple
@@ -83,9 +82,6 @@ class Certificate(NamedTuple):
             "assumptions": self.assumptions,
             "conclusion": self.conclusion,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
 
 class Analysis:

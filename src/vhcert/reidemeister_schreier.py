@@ -2,8 +2,9 @@
 
 Reidemeister-Schreier: read a prefix-closed (Schreier) transversal off
 the breadth-first spanning tree that standardization recorded in the
-closed table, take one generator per non-tree table entry, and rewrite
-every parent relator from every coset.
+closed table (``schreier_transversal`` returns it, checked, as a tuple
+of words), take one generator per non-tree table entry, and rewrite every
+parent relator from every coset.
 For index k over g generators and r relators this yields exactly
 k*g - (k-1) generators and k*r relators before any simplification.
 
@@ -35,26 +36,18 @@ from vhcert.todd_coxeter import (
 )
 
 
-class Transversal:
-    """Schreier coset representatives; rep of coset 0 is the empty word and
-    the set of representatives is prefix-closed."""
-
-    def __init__(self, words: tuple):
-        check(words[0] == (), "transversal does not start with the empty word")
-        prefixes = set(words)
-        for w in words:
-            check(w[:-1] in prefixes, "transversal is not prefix-closed")
-        self.words = words
-
-    def __len__(self):
-        return len(self.words)
-
-
-def schreier_transversal(table: CosetTable) -> Transversal:
-    """Breadth-first representatives of a closed table."""
+def schreier_transversal(table: CosetTable) -> tuple:
+    """Breadth-first representatives of a closed table, read off its
+    spanning tree: coset 0's is the empty word, and the set of
+    representatives is prefix-closed (both checked)."""
     if not table.closed:
         raise ValueError("transversal requires a closed table")
-    return Transversal(tuple(_transversal_words(table)))
+    words = tuple(_transversal_words(table))
+    check(words[0] == (), "transversal does not start with the empty word")
+    prefixes = set(words)
+    for w in words:
+        check(w[:-1] in prefixes, "transversal is not prefix-closed")
+    return words
 
 
 def subgroup_presentation(p: Presentation, table: CosetTable) -> Presentation:

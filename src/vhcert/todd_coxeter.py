@@ -27,9 +27,10 @@ The queue is drained after each scan and after each definition.
 Coincidences are handled by a union-find, with the smaller coset
 surviving each merge, and an immediately processed queue of dead cosets;
 a coset that stays live keeps every entry it had, and its entries point
-to live cosets.  A generator that is a relator of length 1 is the
-identity on every coset: its entries are set, and queued, when the coset
-is created, since no deduction through another entry would reach them.
+to live cosets, so compression and standardization read them directly.
+A generator that is a relator of length 1 is the identity on every
+coset: its entries are set, and queued, when the coset is created, since
+no deduction through another entry would reach them.
 
 Both strategies also keep a preferred definition list (Havas and
 Ramsay's, from ACE): a deduction scan that stops at a gap exactly 2 wide
@@ -61,15 +62,24 @@ generator, as given, must fix coset 0 (the enumeration scans its free
 reduction from coset 0, which closes it there; a cyclic reduction would
 close a conjugate).  The recorded tree gives the Schreier
 transversal and the Schreier generators of the subgroup.
+
+The finite quotient G/H of a closed table is read off the table: H, the
+stabilizer of coset 0, is generated by the subgroup generators, so it is
+normal iff each of them fixes every coset; then G/H is abelian iff the
+commutator x*y*x^-1*y^-1 of every two generators fixes coset 0, and an
+abelian quotient's invariants, from the relators plus the subgroup
+generators, must multiply to the index.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from typing import NamedTuple
 
 from vhcert.checks import check
 from vhcert.fpgroups import (
+    AbelianInvariants,
     Presentation,
     abelianization,
     concat,
@@ -159,15 +169,6 @@ class CosetTable:
             self._deductions.append((0, col))
 
     # -- union-find ---------------------------------------------------------
-
-    def rep(self, k: int) -> int:
-        p = self.p
-        lam = k
-        while p[lam] != lam:
-            lam = p[lam]
-        while p[k] != lam:
-            p[k], k = lam, p[k]
-        return lam
 
     def live_cosets(self):
         return [k for k in range(len(self.table)) if self.p[k] == k]
@@ -297,11 +298,11 @@ class CosetTable:
 
     def _keep_rows(self, order) -> None:
         """Keep only the rows of the live cosets ``order``, renumbered by
-        their position in it, with entries resolved through rep."""
+        their position in it.  A live row's entries point to live cosets
+        (see ``_coincidence``); an entry that does not is a KeyError."""
         new = {old: i for i, old in enumerate(order)}
-        rep = self.rep
         self.table = [
-            [None if entry is None else new[rep(entry)] for entry in self.table[old]]
+            [None if entry is None else new[entry] for entry in self.table[old]]
             for old in order
         ]
         self.p = list(range(len(order)))
@@ -462,16 +463,12 @@ class CosetTable:
         """Renumber the live cosets in breadth-first order over the column
         order, and record the spanning tree of that search: ``tree[beta]``
         is the entry (coset, column) that first reached coset beta."""
-        rep = self.rep
         order = [0]
         seen = {0}
         tree = {}
         for alpha, old in enumerate(order):
-            for col, entry in enumerate(self.table[old]):
-                if entry is None:
-                    continue
-                beta = rep(entry)
-                if beta not in seen:
+            for col, beta in enumerate(self.table[old]):
+                if beta is not None and beta not in seen:
                     seen.add(beta)
                     tree[len(order)] = (alpha, col)
                     order.append(beta)
@@ -493,10 +490,7 @@ class CosetTable:
             check(sorted(column) == list(range(n)), "column is not a permutation")
         for cols in self.presentation.relators:
             for alpha in range(n):
-                coset = alpha
-                for col in cols:
-                    coset = self.table[coset][col]
-                check(coset == alpha, "relator does not trace to identity")
+                check(self.trace(alpha, cols) == alpha, "relator does not trace to identity")
         # the words as given, not the free reductions that were scanned
         for word in self.subgens:
             check(self.trace(0, word) == 0, "subgroup generator moves coset 0")
@@ -566,54 +560,13 @@ def parity_kernel_table(p: Presentation) -> CosetTable:
     return t
 
 
-class FiniteQuotient:
-    """Multiplication table of a finite quotient read off a closed table.
+class FiniteQuotient(NamedTuple):
+    """A finite quotient G/H read off a closed table by ``quotient_structure``:
+    its order, whether it is abelian, and, when it is, its invariants."""
 
-    The table's subgroup H, the stabilizer of coset 0, is generated by its
-    subgroup generators.  The constructor checks that H is normal, exactly:
-    H is normal iff every subgroup generator fixes every coset.  Then the
-    cosets multiply as the group G/H, so associativity holds by
-    construction; identity and inverses are still checked on the table.
-    """
-
-    def __init__(self, table: CosetTable):
-        if not table.closed:
-            raise ValueError("quotient structure requires a closed table")
-        n = len(table.table)
-        check(all(table.trace(alpha, w) == alpha
-                  for w in table.subgens for alpha in range(n)),
-              "the subgroup is not normal: a subgroup generator moves a coset")
-        reps = _transversal_words(table)
-        mult = [
-            [table.trace(0, reps[i] + reps[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        self.order = n
-        self.table = tuple(tuple(row) for row in mult)
-        self._verify()
-        self.abelian = all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(n) for j in range(i + 1, n)
-        )
-        self.invariants = None
-        if self.abelian:
-            # The quotient is presented by the table's relators plus its
-            # subgroup generators; abelian, it equals its abelianization.
-            p = table.presentation
-            inv = abelianization(
-                Presentation.build(p.generators, p.relators + table.subgens)
-            )
-            check(inv.free_rank == 0 and math.prod(inv.torsion) == n,
-                  "abelian invariants disagree with the quotient order")
-            self.invariants = inv
-
-    def _verify(self) -> None:
-        n = self.order
-        t = self.table
-        check(t[0] == tuple(range(n)), "coset 0 is not an identity")
-        check(all(t[i][0] == i for i in range(n)), "coset 0 is not an identity")
-        for i in range(n):
-            check(t[i].count(0) == 1, "an element has no unique inverse")
+    order: int
+    abelian: bool
+    invariants: AbelianInvariants | None
 
 
 def _transversal_words(table: CosetTable):
@@ -654,5 +607,26 @@ def schreier_generator_words(p: Presentation, table: CosetTable):
 
 
 def quotient_structure(table: CosetTable) -> FiniteQuotient:
-    """Group structure on the cosets of a closed table."""
-    return FiniteQuotient(table)
+    """The quotient G/H of a closed table, read off the table (see the
+    module docstring): normality of H is checked exactly, commutativity
+    from the generators' commutators at coset 0."""
+    if not table.closed:
+        raise ValueError("quotient structure requires a closed table")
+    n = len(table.table)
+    check(all(table.trace(alpha, w) == alpha
+              for w in table.subgens for alpha in range(n)),
+          "the subgroup is not normal: a subgroup generator moves a coset")
+    gens = range(0, table.ncols, 2)
+    abelian = all(table.trace(0, (x, y, x ^ 1, y ^ 1)) == 0
+                  for x in gens for y in gens if x < y)
+    inv = None
+    if abelian:
+        # The quotient is presented by the table's relators plus its
+        # subgroup generators; abelian, it equals its abelianization.
+        p = table.presentation
+        inv = abelianization(
+            Presentation.build(p.generators, p.relators + table.subgens)
+        )
+        check(inv.free_rank == 0 and math.prod(inv.torsion) == n,
+              "abelian invariants disagree with the quotient order")
+    return FiniteQuotient(n, abelian, inv)

@@ -6,6 +6,9 @@ from vhcert.certificates import (
     FAIL,
     INAPPLICABLE,
     PASS,
+    UNKNOWN,
+    Analysis,
+    Step,
     amalgam_ranks,
     irreducibility_check,
     nst_check,
@@ -71,6 +74,33 @@ def test_nst_fails_on_commuting_squares():
     step = nst_check(parse_complex(COMMUTING_2x2))
     assert step.verdict == FAIL
     assert "2-transitive" in step.values["reason"]
+
+
+def test_nst_follows_a_failed_or_inapplicable_irreducibility_step(sigma):
+    # every other hypothesis holds on sigma; the shared irreducibility step
+    # alone decides these two verdicts
+    for verdict, reason in (
+        (FAIL, "irreducibility criterion fails"),
+        (INAPPLICABLE, "irreducibility criterion inapplicable"),
+    ):
+        a = Analysis(sigma)
+        a.irreducibility = Step("irreducibility", verdict, {}, "")
+        step = nst_check(a)
+        assert step.verdict == verdict
+        assert step.values["irreducibility"] == verdict
+        assert step.values["reason"] == reason
+
+
+def test_nst_unknown_when_stabilizer_simplicity_is_undecided(sigma, monkeypatch):
+    import vhcert.certificates as certificates
+
+    monkeypatch.setattr(certificates, "recognized_simplicity", lambda *args: None)
+    step = nst_check(sigma)
+    assert step.verdict == UNKNOWN
+    assert step.values["reason"] == (
+        "horizontal stabilizer simplicity undecided; "
+        "vertical stabilizer simplicity undecided"
+    )
 
 
 def test_amalgam_rank_instances():

@@ -218,6 +218,19 @@ def test_nst_fail_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_irreducible_and_nst_inapplicable_without_link_condition(capsys, tmp_path):
+    path = tmp_path / "sigma_minus_first.vh"
+    path.write_text(_sigma_without_first_square(), encoding="utf-8")
+    code, out = run(capsys, "irreducible", str(path))
+    assert code == 1
+    assert out == "irreducibility: inapplicable\n  reason: link condition fails\n"
+    code, out = run(capsys, "nst", str(path), "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "inapplicable"
+    assert report["values"] == {"reason": "link condition fails"}
+
+
 def test_closure_index(capsys, sigma_path):
     code, out = run(capsys, "closure-index", sigma_path, "--word", WORD, "--json")
     assert code == 0
@@ -271,6 +284,21 @@ def test_simplify(capsys, sigma_path):
     report = json.loads(out)
     assert report["relator_generator_difference"] == 59
     assert report["simplified"]["generators"] <= 10
+
+
+def test_rs_and_simplify_of_a_word_closure(capsys, sigma_path):
+    # --word replaces the parity kernel by the normal closure of the word
+    code, out = run(capsys, "rs", sigma_path, "--word", "a1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["subgroup"], report["index"]) == ("normal closure of a1", 2)
+    assert (report["generators"], report["relators"], report["total_length"]) == (19, 48, 180)
+    code, out = run(capsys, "simplify", sigma_path, "--word", "a1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["raw"] == {"generators": 19, "relators": 48, "total_length": 180}
+    assert report["simplified"] == {"generators": 3, "relators": 32, "total_length": 3274}
+    assert report["relator_generator_difference"] == 29
 
 
 def test_amalgam(capsys):
@@ -342,6 +370,16 @@ def test_word_required(capsys, sigma_path):
     code, err = usage_error(capsys, "closure-index", sigma_path)
     assert code == 64
     assert err.count("\n") == 1 and "--word" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure-index", "--word", WORD, "--cap", "0"],
+    ["simplify", "--budget", "0"],
+])
+def test_nonpositive_cap_or_budget_exit_64(capsys, sigma_path, argv):
+    code, err = usage_error(capsys, argv[0], sigma_path, *argv[1:])
+    assert code == 64
+    assert err.count("\n") == 1 and "caps and budgets must be positive" in err
 
 
 @pytest.mark.parametrize("depth", ["0", "4"])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import quotient_is_abelian
 from vhcert.checks import VerificationError
 from vhcert.fpgroups import (
     Presentation,
@@ -396,7 +397,7 @@ def test_strategies_agree_on_random_presentations():
             # the recorded spanning tree reaches every other coset once, and
             # each transversal word leads from coset 0 to its own coset
             assert len(table.tree) == table.index - 1
-            words = schreier_transversal(table).words
+            words = schreier_transversal(table)
             assert [table.trace(0, w) for w in words] == list(range(table.index))
             closed += 1
             nontrivial += table.index > 1
@@ -538,6 +539,28 @@ def test_quotient_rejects_non_normal_subgroup_of_large_index():
     assert q.order == 70 and q.invariants.torsion == (70,)
 
 
+def test_abelian_flag_matches_the_multiplication_table_oracle():
+    # quotient_structure decides commutativity from the generators'
+    # commutators at coset 0; the oracle compares all n^2 products
+    normal = nonabelian = refused = 0
+    for p, subgens in _random_presentations():
+        for words in ((), subgens) if subgens else ((),):
+            try:
+                table = enumerate_cosets(p, words, 1000)
+            except EnumerationExhausted:
+                continue
+            try:
+                q = quotient_structure(table)
+            except VerificationError as exc:
+                assert "not normal" in str(exc)
+                refused += 1
+                continue
+            assert q.abelian == quotient_is_abelian(table), (str(p), words)
+            normal += 1
+            nonabelian += not q.abelian
+    assert normal >= 350 and nonabelian >= 15 and refused >= 1
+
+
 def test_closure_index_equals_quotient_order(sigma):
     p = presentation_from_complex(sigma)
     w = p.parse_word("a2*a1^-1*a3*a4^-1")
@@ -584,8 +607,8 @@ def test_cap_must_be_positive(sigma):
 
 def test_verification_survives_optimize_flag():
     # the closed-table, orbit-stabilizer, Reidemeister-Schreier, local
-    # action and abelian-invariant checks are raises, not asserts, so
-    # python -O keeps them
+    # action, abelian-invariant and quotient checks are raises, not
+    # asserts, so python -O keeps them
     import os
     import subprocess
     import sys
@@ -616,15 +639,16 @@ def test_verification_survives_optimize_flag():
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
         "from vhcert.fpgroups import Presentation\n"
-        "from vhcert.reidemeister_schreier import Transversal, subgroup_presentation\n"
+        "import vhcert.reidemeister_schreier as rs\n"
+        "p = presentation_from_complex(corpus.load('sigma'))\n"
+        "rs._transversal_words = lambda table: [(), (0, 2)]  # (0,) is missing\n"
         "try:\n"
-        "    Transversal(((), (0, 2)))\n"
+        "    rs.schreier_transversal(parity_kernel_table(p))\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
-        "p = presentation_from_complex(corpus.load('sigma'))\n"
         "odd = Presentation.build(p.generators, p.relators + ((0,),))\n"
         "try:\n"
-        "    subgroup_presentation(odd, parity_kernel_table(p))\n"
+        "    rs.subgroup_presentation(odd, parity_kernel_table(p))\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
         "from vhcert.local_actions import LocalPerm\n"
@@ -642,6 +666,17 @@ def test_verification_survives_optimize_flag():
         "    AbelianInvariants(0, (4, 2))\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
+        "import vhcert.todd_coxeter as tc\n"
+        "dihedral = Presentation.build(('x', 'y'), ((0,) * 65, (2, 2), (0, 2, 0, 2)))\n"
+        "try:  # <y> has index 65 and is not normal\n"
+        "    tc.quotient_structure(tc.enumerate_cosets(dihedral, [(2,)]))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "tc.abelianization = lambda p: AbelianInvariants(0, (2,))  # not Z/2 x Z/2\n"
+        "try:\n"
+        "    tc.quotient_structure(parity_kernel_table(p))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
     )
     src = str(Path(vhcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -657,4 +692,6 @@ def test_verification_survives_optimize_flag():
         "VerificationError depth-1 map is not a bijection\n"
         "VerificationError a residual letter is not on the actor's side\n"
         "VerificationError torsion coefficients must form a divisor chain\n"
+        "VerificationError the subgroup is not normal: a subgroup generator moves a coset\n"
+        "VerificationError abelian invariants disagree with the quotient order\n"
     )
