@@ -35,7 +35,6 @@ from vhcert.complexes import (
 from vhcert.fpgroups import index4_hom, presentation_from_complex
 from vhcert.local_actions import SphereIndex, depth_order_bound, local_group
 from vhcert.permgroups import (
-    SIMPLICITY_BOUND,
     PermGroup,
     is_k_transitive,
     point_stabilizer,
@@ -205,7 +204,7 @@ def nst_check(c: Analysis | SquareComplex) -> Step:
         group = a.local_group(side, 1)
         stab = point_stabilizer(group, 0)
         stab_name = recognize(stab)
-        simple = recognized_simplicity(stab, stab_name, SIMPLICITY_BOUND)
+        simple = recognized_simplicity(stab, stab_name)
         transitive = is_k_transitive(group, 2)
         values[f"{label}_order"] = group.order
         values[f"{label}_recognition"] = a.recognize(group)

@@ -6,8 +6,11 @@ Elements are image tuples of 0..d-1 throughout.  ``PermGroup(...)`` and
 validate it; everything stored or returned is an image tuple.
 ``Permutation`` is for parsing, printing and user-side arithmetic; its
 cycle notation, e.g. ``(1,2)(4,5)(6,8,7)``, is the only 1-based surface.
-One orbit routine (``_orbit_grow``) builds every transversal and one
-``_sift`` serves Schreier-Sims, membership and ``normal_closure``.
+One orbit routine (``_orbit_grow``) builds every transversal, one
+``_sift`` serves Schreier-Sims, membership and ``normal_closure``, and one
+insertion routine (``_insert``) adds every strong generator, and opens
+every level, of every chain.  The (point, generator) pairs already
+verified are bookkeeping of the deterministic run alone.
 
 Transitivity and recognition are read off the group's own stabilizer
 chain: for any base b_0, b_1, ..., G is k-transitive on d points iff
@@ -178,25 +181,23 @@ def _orbit_grow(orbit, base_pt, gens, fresh, degree):
     new points all of them.
 
     Existing entries are never rewritten, so Schreier generators already
-    sifted against them stay valid.  Returns the (pt, gen index) pairs that
-    define tree edges (their Schreier generators are trivial).
+    sifted against them stay valid.
     """
-    tree_pairs = []
     if not orbit:
         ident = _identity(degree)
         orbit[base_pt] = (ident, ident)
+    elif all(orbit.keys() >= set(map(s.__getitem__, orbit)) for s in gens[-fresh:]):
+        return  # the fresh generators map the orbit into itself
     queue = deque((pt, len(gens) - fresh) for pt in orbit)
     while queue:
         pt, first = queue.popleft()
         u = orbit[pt][0]
-        for k, s in enumerate(gens[first:], first):
+        for s in gens[first:]:
             image = s[pt]
             if image not in orbit:
                 v = _mul(u, s)
                 orbit[image] = (v, _inv(v))
                 queue.append((image, 0))
-                tree_pairs.append((pt, k))
-    return tree_pairs
 
 
 def _sift(g, base, levels, start=0):
@@ -211,25 +212,23 @@ def _sift(g, base, levels, start=0):
 
 
 class _Level:
-    __slots__ = ("gens", "orbit", "done")
+    __slots__ = ("gens", "orbit")
 
     def __init__(self):
         self.gens = []
         self.orbit = {}
-        self.done = set()  # (orbit point, generator index) pairs verified
 
 
-def _new_level(base, levels, g):
-    """Extend the base by the first point that ``g`` moves."""
-    base.append(next(x for x, y in enumerate(g) if y != x))
-    levels.append(_Level())
-
-
-def _add_generator(base, levels, l, g):
-    """Add ``g`` to level ``l`` and grow that level's orbit."""
-    lvl = levels[l]
-    lvl.gens.append(g)
-    lvl.done.update(_orbit_grow(lvl.orbit, base[l], lvl.gens, 1, len(g)))
+def _insert(base, levels, g, lo, j):
+    """Add the strong generator ``g``, which fixes b_0..b_(j-1), to levels
+    lo..j and grow their orbits; a chain of only j levels first gets level
+    j, based at the first point ``g`` moves."""
+    if j == len(base):
+        base.append(next(x for x, y in enumerate(g) if y != x))
+        levels.append(_Level())
+    for l in range(lo, j + 1):
+        levels[l].gens.append(g)
+        _orbit_grow(levels[l].orbit, base[l], levels[l].gens, 1, len(g))
 
 
 def _initial_chain(raw_gens, degree):
@@ -240,16 +239,9 @@ def _initial_chain(raw_gens, degree):
     base = []
     levels = []
     for g in dict.fromkeys(raw_gens):
-        if g == ident:
-            continue
-        lev = next(
-            (l for l in range(len(base)) if g[base[l]] != base[l]), None
-        )
-        if lev is None:
-            _new_level(base, levels, g)
-            lev = len(base) - 1
-        for l in range(lev + 1):
-            _add_generator(base, levels, l, g)
+        if g != ident:
+            j = next((l for l, b in enumerate(base) if g[b] != b), len(base))
+            _insert(base, levels, g, 0, j)
     return base, levels
 
 
@@ -257,21 +249,23 @@ def _schreier_sims(raw_gens, degree):
     """Deterministic Schreier-Sims; returns (base, levels)."""
     ident = _identity(degree)
     base, levels = _initial_chain(raw_gens, degree)
+    done = {}  # level -> (orbit point, generator index) pairs verified
 
     def find_residue(level_idx):
         lvl = levels[level_idx]
+        verified = done.setdefault(level_idx, set())
         for pt in list(lvl.orbit):
             u = lvl.orbit[pt][0]
             for k, s in enumerate(lvl.gens):
-                if (pt, k) in lvl.done:
+                if (pt, k) in verified:
                     continue
                 schreier = _mul(_mul(u, s), lvl.orbit[s[pt]][1])
                 if schreier == ident:
-                    lvl.done.add((pt, k))
+                    verified.add((pt, k))
                     continue
                 h, j = _sift(schreier, base, levels, level_idx + 1)
                 if h == ident:
-                    lvl.done.add((pt, k))
+                    verified.add((pt, k))
                     continue
                 return h, j
         return None
@@ -283,10 +277,7 @@ def _schreier_sims(raw_gens, degree):
             i -= 1
             continue
         h, j = found
-        if j == len(base):
-            _new_level(base, levels, h)
-        for l in range(i + 1, j + 1):
-            _add_generator(base, levels, l, h)
+        _insert(base, levels, h, i + 1, j)
         i = j
 
     return base, levels
@@ -340,10 +331,7 @@ def _bounded_schreier_sims(raw_gens, degree, order_bound):
             quiet += 1
             continue
         quiet = 0
-        if j == len(base):
-            _new_level(base, levels, h)
-        for l in range(1, j + 1):
-            _add_generator(base, levels, l, h)
+        _insert(base, levels, h, 1, j)
         order = math.prod(len(lvl.orbit) for lvl in levels)
     return (base, levels) if order >= order_bound else None
 
@@ -539,15 +527,16 @@ def normal_closure(group: PermGroup, element) -> PermGroup:
 SIMPLICITY_BOUND = 100_000
 
 
-def brute_simplicity(group: PermGroup, bound: int = SIMPLICITY_BOUND):
-    """Exhaustive simplicity check for groups of order at most ``bound``.
+def brute_simplicity(group: PermGroup):
+    """Exhaustive simplicity check for groups of order at most
+    ``SIMPLICITY_BOUND``.
 
     Returns ('simple', None), ('not_simple', witness) with the witness an
     element (an image tuple) whose normal closure is proper, or
     ('unknown', None) when the order exceeds the bound.  The trivial group
     counts as not simple.
     """
-    if group.order > bound:
+    if group.order > SIMPLICITY_BOUND:
         return "unknown", None
     if group.order == 1:
         return "not_simple", None
@@ -558,17 +547,18 @@ def brute_simplicity(group: PermGroup, bound: int = SIMPLICITY_BOUND):
     return "simple", None
 
 
-def is_whitelisted_nonabelian_simple(group: PermGroup, bound: int = SIMPLICITY_BOUND):
+def is_whitelisted_nonabelian_simple(group: PermGroup):
     """True / False / None ('unknown') nonabelian-simplicity verdict.
 
     Recognition covers Alt(d) for d >= 5, M11 and M12; abelian groups are
     rejected directly; anything else falls back to the brute-force check
-    when the order fits under ``bound`` and is otherwise undecided (None).
+    when the order fits under ``SIMPLICITY_BOUND`` and is otherwise
+    undecided (None).
     """
-    return recognized_simplicity(group, recognize(group), bound)
+    return recognized_simplicity(group, recognize(group))
 
 
-def recognized_simplicity(group: PermGroup, name: str, bound: int):
+def recognized_simplicity(group: PermGroup, name: str):
     """The same verdict for a group that ``recognize`` already named."""
     if group.is_abelian():
         return False
@@ -579,7 +569,7 @@ def recognized_simplicity(group: PermGroup, name: str, bound: int):
         return int(match.group(1)) >= 5
     if name.startswith("Sym("):
         return False
-    verdict, _ = brute_simplicity(group, bound)
+    verdict, _ = brute_simplicity(group)
     if verdict == "unknown":
         return None
     return verdict == "simple"

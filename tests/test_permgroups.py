@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vhcert import corpus
+from vhcert import corpus, permgroups
 from vhcert.certificates import Analysis
 from vhcert.checks import VerificationError
 from vhcert.local_actions import depth_order_bound, local_group
@@ -176,6 +177,35 @@ def test_random_phase_meets_the_corpus_depth_bounds(lam, sigma):
             assert math.prod(len(lvl.orbit) for lvl in chain[1]) == bound
 
 
+# sha256 of repr((base, each level's orbit in discovery order, each
+# level's strong generators)) of the chains the certificate steps and the
+# CI runs build; key (complex, side, depth, point), with point the one
+# stabilized by ``point_stabilizer`` or None for the local group itself
+CHAIN_DIGESTS = {
+    ("sigma", "v", 1, None): "b397af904bdf6279942267147a6b5c86ae75cbd9502c04aa663a5f9e625102ed",
+    ("sigma", "v", 2, None): "a18c7e26868884d5db2bc74ea451f3b17266e5004a7d5cff4d1cbe1df8faa5f1",
+    ("sigma", "h", 1, None): "dc80521b11cecddb64dab350dbbbd5f2fa7c068863d200e80aec055b7e811a70",
+    ("sigma", "h", 2, None): "72418f1123b6766103177ea84f5d2dde7b94c1c4ffb2f3f34e1bc45f57cea871",
+    ("sigma", "h", 1, 0): "1f60e55d5db5343f571dd883cb8cb176eb6924b843e9d993142c9334dd91c7fb",
+    ("sigma", "v", 1, 0): "7a1c1f0517b81567d3c8226a5a5e476f6d259218a87aa3347449a152a9794c21",
+    ("delta", "v", 2, None): "91fab7ebe601b23b04a009efb62618f9af68cdbf53a43b44329c50ddfdc7f0e5",
+    ("delta", "v", 3, None): "edb503b5bfa2d6c259cecd424e3027bc2d61a0b4a9e9d7770ede4ab74f97794b",
+    ("lambda", "v", 2, None): "68a4d0cc0a23bfadcec88ff50493bfb3fe277706be1476c270d295644e6e3c57",
+}
+
+
+def test_chains_are_pinned(lam, delta, sigma):
+    analyses = {"lambda": Analysis(lam), "delta": Analysis(delta), "sigma": Analysis(sigma)}
+    for (name, side, depth, point), want in CHAIN_DIGESTS.items():
+        group = analyses[name].local_group(side, depth)
+        if point is not None:
+            group = point_stabilizer(group, point)
+        chain = (group._base, [list(lvl.orbit) for lvl in group._levels],
+                 [lvl.gens for lvl in group._levels])
+        digest = hashlib.sha256(repr(chain).encode()).hexdigest()
+        assert digest == want, (name, side, depth, point)
+
+
 def test_bound_overshoot_raises():
     # Alt(5) on 5 points: the orbit product goes 5, 20, 60 past a bound of 59
     gens = [perm("(1,2,3)", 5).images, perm("(3,4,5)", 5).images]
@@ -281,11 +311,12 @@ def test_whitelist_verdicts(sigma):
     assert is_whitelisted_nonabelian_simple(a4) is False
 
 
-def test_whitelist_unknown_beyond_bound():
+def test_whitelist_unknown_beyond_bound(monkeypatch):
     a5 = bsgs_build([perm("(1,2,3,4,5)"), perm("(3,4,5)", 5)])
     wreath = _direct_square(a5)
     # order 3600, unrecognized; tiny bound forces the unknown verdict
-    assert is_whitelisted_nonabelian_simple(wreath, bound=100) is None
+    monkeypatch.setattr(permgroups, "SIMPLICITY_BOUND", 100)
+    assert is_whitelisted_nonabelian_simple(wreath) is None
 
 
 def _direct_square(g):
@@ -297,7 +328,7 @@ def _direct_square(g):
     return bsgs_build(gens)
 
 
-def test_brute_simplicity():
+def test_brute_simplicity(monkeypatch):
     a5 = bsgs_build([perm("(1,2,3,4,5)"), perm("(3,4,5)", 5)])
     assert brute_simplicity(a5) == ("simple", None)
 
@@ -308,7 +339,8 @@ def test_brute_simplicity():
     assert normal_closure(a4, witness).order == 4
 
     big = _direct_square(a5)
-    assert brute_simplicity(big, bound=1000) == ("unknown", None)
+    monkeypatch.setattr(permgroups, "SIMPLICITY_BOUND", 1000)
+    assert brute_simplicity(big) == ("unknown", None)
 
 
 def test_conjugacy_class_reps_cover_group():
