@@ -155,11 +155,17 @@ def cmd_nst(args, a: Analysis) -> int:
     return _emit_step(args, a, nst_check(a), "normal subgroup theorem hypotheses")
 
 
-def cmd_closure_index(args, a: Analysis) -> int:
-    p = a.presentation
+def _closure(args, p):
+    """Parse --word and enumerate its normal closure under --cap and
+    --strategy; returns (the word as text, coset table)."""
     word = p.parse_word(args.word)
     table = normal_closure_table(p, word, cap=args.cap, strategy=args.strategy)
-    report = {"complex": a.complex.name, "word": p.word_to_string(word),
+    return p.word_to_string(word), table
+
+
+def cmd_closure_index(args, a: Analysis) -> int:
+    word, table = _closure(args, a.presentation)
+    report = {"complex": a.complex.name, "word": word,
               "index": table.index, **table.summary()}
     _emit(report, args.as_json,
           [f"normal closure index: {table.index}",
@@ -169,13 +175,11 @@ def cmd_closure_index(args, a: Analysis) -> int:
 
 
 def cmd_quotient(args, a: Analysis) -> int:
-    p = a.presentation
-    word = p.parse_word(args.word)
-    table = normal_closure_table(p, word, cap=args.cap, strategy=args.strategy)
+    word, table = _closure(args, a.presentation)
     q = quotient_structure(table)
     report = {
         "complex": a.complex.name,
-        "word": p.word_to_string(word),
+        "word": word,
         "order": q.order,
         "abelian": q.abelian,
         "invariants": list(q.invariants.torsion) if q.abelian else None,
@@ -197,20 +201,20 @@ def cmd_abelianize(args, a: Analysis) -> int:
     return EXIT_OK
 
 
-def _subgroup_table(args, p):
-    """Coset table for rs/simplify: the parity kernel by default, or the
-    normal closure of --word when given."""
+def _subgroup(args, p):
+    """The subgroup rs/simplify present: the parity kernel by default, or
+    the normal closure of --word; returns (coset table, label, its
+    Reidemeister-Schreier presentation)."""
     if args.word is None:
-        return parity_kernel_table(p), "parity kernel"
-    word = p.parse_word(args.word)
-    table = normal_closure_table(p, word, cap=args.cap, strategy=args.strategy)
-    return table, f"normal closure of {p.word_to_string(word)}"
+        table, label = parity_kernel_table(p), "parity kernel"
+    else:
+        word, table = _closure(args, p)
+        label = f"normal closure of {word}"
+    return table, label, subgroup_presentation(p, table)
 
 
 def cmd_rs(args, a: Analysis) -> int:
-    p = a.presentation
-    table, label = _subgroup_table(args, p)
-    sub = subgroup_presentation(p, table)
+    table, label, sub = _subgroup(args, a.presentation)
     report = {
         "complex": a.complex.name,
         "subgroup": label,
@@ -231,9 +235,7 @@ def cmd_rs(args, a: Analysis) -> int:
 
 
 def cmd_simplify(args, a: Analysis) -> int:
-    p = a.presentation
-    table, label = _subgroup_table(args, p)
-    sub = subgroup_presentation(p, table)
+    table, label, sub = _subgroup(args, a.presentation)
     simplified = tietze_simplify(sub, total_length_budget=args.budget)
     report = {
         "complex": a.complex.name,
@@ -298,29 +300,14 @@ def cmd_simple_cert(args, a: Analysis) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "check-link": cmd_check_link,
-    "euler": cmd_euler,
-    "local": cmd_local,
-    "irreducible": cmd_irreducible,
-    "nst": cmd_nst,
-    "closure-index": cmd_closure_index,
-    "quotient": cmd_quotient,
-    "abelianize": cmd_abelianize,
-    "rs": cmd_rs,
-    "simplify": cmd_simplify,
-    "amalgam": cmd_amalgam,
-    "simple-cert": cmd_simple_cert,
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="vhcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_path=True, word=None, cap=False):
+    def add(name, run, help_text, needs_path=True, word=None, cap=False):
         # word: None for no --word option, else whether --word is required
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if needs_path:
             p.add_argument("path", help="complex file (.vh)")
         if word is not None:
@@ -335,30 +322,30 @@ def build_parser() -> _Parser:
                        help="emit the JSON report instead of text")
         return p
 
-    add("check-link", "verify the link condition")
-    add("euler", "Euler characteristic of a link-valid complex")
-    p = add("local", "local groups on tree spheres")
+    add("check-link", cmd_check_link, "verify the link condition")
+    add("euler", cmd_euler, "Euler characteristic of a link-valid complex")
+    p = add("local", cmd_local, "local groups on tree spheres")
     p.add_argument("--side", choices=("h", "v"))
     p.add_argument("--depth", type=int, default=1,
                    choices=range(1, DEFAULT_MAX_DEPTH + 1))
-    add("irreducible", "irreducibility via the depth-2 order criterion")
-    add("nst", "normal subgroup theorem hypotheses")
-    add("closure-index", "index of the normal closure of a word",
+    add("irreducible", cmd_irreducible, "irreducibility via the depth-2 order criterion")
+    add("nst", cmd_nst, "normal subgroup theorem hypotheses")
+    add("closure-index", cmd_closure_index, "index of the normal closure of a word",
         word=True, cap=True)
-    add("quotient", "structure of the quotient by a normal closure",
+    add("quotient", cmd_quotient, "structure of the quotient by a normal closure",
         word=True, cap=True)
-    add("abelianize", "abelian invariants of the complex's group")
-    add("rs", "subgroup presentation (parity kernel, or --word closure)",
+    add("abelianize", cmd_abelianize, "abelian invariants of the complex's group")
+    add("rs", cmd_rs, "subgroup presentation (parity kernel, or --word closure)",
         word=False, cap=True)
-    p = add("simplify", "rs followed by Tietze simplification",
+    p = add("simplify", cmd_simplify, "rs followed by Tietze simplification",
             word=False, cap=True)
     p.add_argument("--budget", type=int, default=10_000,
                    help="total relator length budget (default 10000)")
-    p = add("amalgam", "free-amalgam splitting ranks for given m, n",
+    p = add("amalgam", cmd_amalgam, "free-amalgam splitting ranks for given m, n",
             needs_path=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p = add("simple-cert", "full simplicity certificate", word=True, cap=True)
+    p = add("simple-cert", cmd_simple_cert, "full simplicity certificate", word=True, cap=True)
     p.add_argument("--assume-nrf", action="store_true", dest="assume_nrf",
                    help="acknowledge the external non-residual-finiteness "
                         "theorem for the embedded subcomplex")
@@ -374,7 +361,7 @@ def main(argv=None) -> int:
         parser.error("--m and --n must be positive")
     try:
         analysis = _load(args.path) if "path" in args else None
-        return _COMMANDS[args.command](args, analysis)
+        return args.run(args, analysis)
     except EnumerationExhausted as exc:
         _emit({"complex": analysis.complex.name, "verdict": UNKNOWN,
                "coset_cap": exc.cap},

@@ -89,8 +89,10 @@ class LinkReport(NamedTuple):
 class SquareComplex:
     """A one-vertex VH square complex with named generators.
 
-    ``squares`` holds canonical forms, sorted and de-duplicated; a complex
-    violating the link condition is representable (the check reports it).
+    ``squares`` holds canonical forms, sorted, with repeats kept: a square
+    listed twice, in any of its readings, duplicates its four corners.  A
+    complex violating the link condition is representable (the check
+    reports it).
     Two complexes are equal when their names, alphabets and squares are.
     """
 
@@ -118,14 +120,20 @@ class SquareComplex:
             raise ComplexError("both generator families must be nonempty")
         if len(set(hnames) | set(vnames)) != len(hnames) + len(vnames):
             raise ComplexError("generator names must be distinct")
-        canon = set()
+        for g in hnames + vnames:
+            if g == "1" or "*" in g or "^" in g:
+                raise ComplexError(
+                    f"generator name {g!r} is not readable in a word "
+                    "(no '*' or '^', and not '1')"
+                )
+        canon = []
         for sq in squares:
             for x, horizontal in zip(sq, (True, False, True, False)):
                 if not 0 <= x < 2 * (len(hnames) + len(vnames)):
                     raise ComplexError(f"letter {x!r} outside the declared alphabet")
                 if (x < 2 * len(hnames)) != horizontal:
                     raise ComplexError(f"letter {x!r} on the wrong side of a square")
-            canon.add(canonical_square(*sq))
+            canon.append(canonical_square(*sq))
         return cls(name, hnames, vnames, tuple(sorted(canon)))
 
     @property

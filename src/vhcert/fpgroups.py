@@ -115,11 +115,10 @@ class Presentation:
             base, caret, exp = token.strip().partition("^")
             if base not in self.generators:
                 raise WordError(f"unknown generator {base!r}")
-            try:
-                power = int(exp) if caret else 1
-            except ValueError:
-                raise WordError(f"bad exponent in token {token!r}") from None
-            powers.append((self.generators.index(base), power))
+            digits = exp.removeprefix("-")
+            if caret and not (digits.isascii() and digits.isdigit()):
+                raise WordError(f"bad exponent in token {token!r}")
+            powers.append((self.generators.index(base), int(exp) if caret else 1))
         length = sum(abs(power) for _, power in powers)
         if length > MAX_WORD_LENGTH:
             raise WordError(

@@ -481,14 +481,12 @@ def recognize(group: PermGroup) -> str:
     return f"other({order})"
 
 
-def conjugacy_class_reps(group: PermGroup, elements=None):
+def conjugacy_class_reps(group: PermGroup):
     """Non-identity class representatives, in element discovery order."""
-    if elements is None:
-        elements = group.elements()
     ident = _identity(group.degree)
     seen = {ident}
     reps = []
-    for e in elements:
+    for e in group.elements():
         if e in seen:
             continue
         reps.append(e)
@@ -540,8 +538,7 @@ def brute_simplicity(group: PermGroup):
         return "unknown", None
     if group.order == 1:
         return "not_simple", None
-    elements = group.elements()
-    for rep in conjugacy_class_reps(group, elements):
+    for rep in conjugacy_class_reps(group):
         if normal_closure(group, rep).order < group.order:
             return "not_simple", rep
     return "simple", None

@@ -111,8 +111,10 @@ def _column_rotations(relators, ncols):
     of their inverses that begin with c (proper powers repeat rotations),
     each as (cols, inverse_cols, last, second, back) for the deduction
     loop's scans: ``second`` is the rotation's second column and ``back``
-    the inverse of its last, the two entries the loop reads to skip a scan
-    (None for a rotation shorter than 3, which is always scanned)."""
+    the inverse of its last, the two entries the loop reads to skip a scan.
+    A rotation shorter than 3 gets ``second = c ^ 1`` and ``back = c``:
+    a coset's entry for ``back`` is then the defined one its scan starts
+    from, so such a rotation is never skipped."""
     rotations = [{} for _ in range(ncols)]
     for cols in relators:
         for word in (cols, invert_word(cols)):
@@ -122,7 +124,7 @@ def _column_rotations(relators, ncols):
     return [
         tuple(
             (rot, tuple(c ^ 1 for c in rot), len(rot) - 1)
-            + ((rot[1], rot[-1] ^ 1) if len(rot) >= 3 else (None, None))
+            + ((rot[1], rot[-1] ^ 1) if len(rot) >= 3 else (rot[0] ^ 1, rot[0]))
             for rot in by_col
         )
         for by_col in rotations
@@ -318,11 +320,12 @@ class CosetTable:
         # deduction for each entry it gave its representative.
         #
         # A scan's first step reads row[col], which is defined: a live
-        # coset keeps its entries through coincidences.  For a rotation of
-        # length >= 3, when the entry after that step (column ``second``)
-        # and alpha's entry for ``back`` are both undefined, the gap runs
-        # from position 1 to the last, at least 2 wide: that scan can act
-        # neither way and is skipped.
+        # coset keeps its entries through coincidences.  When the entry
+        # after that step (column ``second``) and alpha's entry for
+        # ``back`` are both undefined, the gap runs from position 1 to the
+        # last, at least 2 wide: that scan can act neither way and is
+        # skipped.  A rotation shorter than 3 has ``back`` = col, so it
+        # never is.
         #
         # A scan that stops at a gap exactly 2 wide records the gap's first
         # entry as a preferred definition: defining it lets the next scan
@@ -340,7 +343,7 @@ class CosetTable:
             row = table[alpha]
             for cols, inverse_cols, last, second, back in rotations[col]:
                 f = row[col]
-                if second is not None and table[f][second] is None and row[back] is None:
+                if table[f][second] is None and row[back] is None:
                     continue
                 i = 1
                 while i <= last:

@@ -198,6 +198,43 @@ def test_check_link_failure_digest(capsys, tmp_path, name, as_json):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_LINK_DIGESTS[name, as_json]
 
 
+def _sigma_first_square_repeated():
+    lines = corpus.text("sigma").splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("square"))
+    return "".join(lines[:first + 1] + lines[first:])
+
+
+# sigma with its first square, a1 b1 a2^-1 b2^-1, listed a second time:
+# verbatim, or in another of its four readings
+REPEATED_SQUARES = {
+    "verbatim": _sigma_first_square_repeated,
+    "reread": lambda: corpus.text("sigma") + "square a2^-1 b2^-1 a1 b1\n",
+}
+
+
+@pytest.mark.parametrize("name", list(REPEATED_SQUARES))
+def test_repeated_square_fails_link_and_certificate(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.vh"
+    path.write_text(REPEATED_SQUARES[name](), encoding="utf-8")
+    code, out = run(capsys, "check-link", str(path))
+    assert code == 1
+    assert out == (
+        "96/96 corners\n"
+        "link condition FAILS\n"
+        "duplicated corner (a1, b1)\n"
+        "duplicated corner (a2, b1^-1)\n"
+        "duplicated corner (a1^-1, b2)\n"
+        "duplicated corner (a2^-1, b2^-1)\n"
+    )
+    code, out = run(capsys, "simple-cert", str(path), "--word", WORD,
+                    "--assume-nrf", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["steps"][0]["name"] == "link_condition"
+    assert report["steps"][0]["verdict"] == "fail"
+    assert "simple group" not in report["conclusion"]
+
+
 def test_irreducible(capsys, lambda_path):
     code, _ = run(capsys, "irreducible", lambda_path)
     assert code == 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -162,6 +164,28 @@ def test_duplicate_square_reported():
     report = check_link(parse_complex(text))
     assert not report.ok
     assert report.duplicate_corners
+
+
+@pytest.mark.parametrize("again", ["a1 b1 a1^-1 b1^-1", "a1^-1 b1 a1 b1^-1"])
+def test_repeated_square_is_kept(again):
+    # the same square twice, verbatim or in another reading: kept twice,
+    # so each of its corners is duplicated rather than silently merged
+    text = "complex rep\nhorizontal a1\nvertical b1\nsquare a1 b1 a1^-1 b1^-1\n"
+    c = parse_complex(text + f"square {again}\n")
+    assert len(c.squares) == 2 and c.squares[0] == c.squares[1]
+    report = check_link(c)
+    assert not report.ok
+    assert len(report.duplicate_corners) == 4
+    assert parse_complex(render_complex(c)) == c
+
+
+@pytest.mark.parametrize("name", ["a*1", "*", "a^1", "^", "1"])
+def test_build_rejects_names_words_cannot_read(name):
+    # parse_word splits on '*' and '^' and reads a bare 1 as the identity
+    with pytest.raises(ComplexError, match=re.escape(f"generator name {name!r}")):
+        parse_complex(f"complex x\nhorizontal a1\nvertical {name}\n")
+    with pytest.raises(ComplexError, match=re.escape(f"generator name {name!r}")):
+        SquareComplex.build("x", (name,), ("b1",), [])
 
 
 def test_euler_characteristic(lam, delta, sigma):

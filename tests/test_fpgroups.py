@@ -89,6 +89,17 @@ def test_word_parsing_round_trip(sigma):
         p.parse_word("z9")
 
 
+def test_word_exponents_are_ascii_digits(sigma):
+    p = presentation_from_complex(sigma)
+    assert p.parse_word("a1^-1") == (1,)
+    assert p.parse_word("a1^3") == (0,) * 3
+    assert p.parse_word("a1^0*b1") == p.parse_word("b1")
+    # int() would read the first five as 10, 3, 3, 3 and -3
+    for token in ("a1^1_0", "a1^\u0663", "a1^+3", "a1^ 3", "a1^-\uff13", "a1^", "a1^-"):
+        with pytest.raises(WordError, match="bad exponent"):
+            p.parse_word(token)
+
+
 def test_word_length_is_bounded_before_expansion(sigma):
     p = presentation_from_complex(sigma)
     assert len(p.parse_word(f"a1^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH

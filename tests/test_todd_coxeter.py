@@ -695,3 +695,21 @@ def test_verification_survives_optimize_flag():
         "VerificationError the subgroup is not normal: a subgroup generator moves a coset\n"
         "VerificationError abelian invariants disagree with the quotient order\n"
     )
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so a check written as one would
+    # vanish; every check in the library must be a raise
+    import ast
+    from pathlib import Path
+
+    import vhcert
+
+    root = Path(vhcert.__file__).resolve().parent
+    asserts = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
