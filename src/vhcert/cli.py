@@ -3,8 +3,9 @@
 Every subcommand computes a JSON-ready report; text output is rendered
 from that report, so ``--json`` and the default text view never drift.
 Exit codes: 0 success, 1 mathematical failure (e.g. a link violation),
-2 resource exhaustion (the coset cap; an "unknown", not an "infinite"),
-64 usage error.  Runs are deterministic: identical arguments on
+2 an "unknown" verdict, never an "infinite" (the coset cap ran out, or a
+step such as the normal subgroup theorem could not be decided), 64 usage
+error.  Runs are deterministic: identical arguments on
 identical input files produce byte-identical output.
 """
 
@@ -144,7 +145,9 @@ def _emit_step(args, a: Analysis, step, title: str) -> int:
     _emit(report, args.as_json, [f"{title}: {step.verdict}"] + [
         f"  {k}: {v}" for k, v in step.values.items()
     ])
-    return EXIT_OK if step.verdict == PASS else EXIT_FAIL
+    if step.verdict == PASS:
+        return EXIT_OK
+    return EXIT_EXHAUSTED if step.verdict == UNKNOWN else EXIT_FAIL
 
 
 def cmd_irreducible(args, a: Analysis) -> int:

@@ -121,10 +121,12 @@ class SquareComplex:
         if len(set(hnames) | set(vnames)) != len(hnames) + len(vnames):
             raise ComplexError("generator names must be distinct")
         for g in hnames + vnames:
-            if g == "1" or "*" in g or "^" in g:
+            # a word splits on '*' and '^' and reads a bare 1 as the
+            # identity; a file line splits on whitespace and ends at '#'
+            if not g or g == "1" or any(ch in "*^#" or ch.isspace() for ch in g):
                 raise ComplexError(
-                    f"generator name {g!r} is not readable in a word "
-                    "(no '*' or '^', and not '1')"
+                    f"generator name {g!r} is not readable in a word or a file "
+                    "(nonempty, no '*', '^', '#' or whitespace, and not '1')"
                 )
         canon = []
         for sq in squares:

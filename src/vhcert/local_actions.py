@@ -3,10 +3,11 @@
 A horizontal letter a fixes the base vertex of the vertical tree; the
 unique square a b a' b' rewrites to a b = b'^-1 a'^-1, so a carries the
 b-neighbour to the b'^-1-neighbour and continues one level deeper as
-a'^-1.  That depth-1 map plus residual letter determines the action on
-every k-sphere by recursion, and the groups these actions generate are
-the local groups of the complex (vertical side generated by a_1..a_m,
-horizontal side by b_1..b_n, acting on reduced words of the other side).
+a'^-1.  ``local_perm`` reads that depth-1 map plus residual letter for
+either side; it determines the action on every k-sphere one letter at a
+time, and the groups these actions generate are the local groups of the
+complex (vertical side generated by a_1..a_m, horizontal side by
+b_1..b_n, acting on reduced words of the other side).
 Letters are the ints of ``complexes``, so ``x ^ 1`` is the inverse of x.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from vhcert.checks import check
 from vhcert.complexes import HORIZONTAL, VERTICAL, SquareComplex
-from vhcert.permgroups import PermGroup, Permutation, bsgs_build
+from vhcert.permgroups import PermGroup, Permutation
 
 # Sphere sizes grow as d*(d-1)**(k-1); nothing in the certificate chain
 # needs depth beyond 2.
@@ -34,41 +35,40 @@ class LocalPerm:
         self.residual = residual
 
 
+def local_perm(c: SquareComplex, x: int) -> LocalPerm:
+    """Depth-1 action of the letter x on the letters of the other side.
+
+    A horizontal x reads a square a b a' b' as x y = y'^-1 x'^-1 from the
+    corner (x, y), whose partner is (x', y').  A vertical x reads the
+    rotated boundary b a' b' a as x y = a^-1 b'^-1 from the corner
+    (y^-1, x^-1) of the square a x y b', whose partner is (a^-1, b'^-1).
+    Either way y goes to the first letter on the right and x continues as
+    the second.
+    """
+    depth1 = {}
+    residual = {}
+    if c.side(x) == HORIZONTAL:
+        for y in c.vertical_letters():
+            x2, y2 = c.corner_partner(x, y)
+            depth1[y], residual[y] = y2 ^ 1, x2 ^ 1
+    else:
+        for y in c.horizontal_letters():
+            depth1[y], residual[y] = c.corner_partner(y ^ 1, x ^ 1)
+    return LocalPerm(c, x, depth1, residual)
+
+
 def vertical_local_perm(c: SquareComplex, a: int) -> LocalPerm:
     """Action of a horizontal letter on the 2n vertical letters."""
     if c.side(a) != HORIZONTAL:
         raise ValueError(f"{c.letter_name(a)} is not horizontal")
-    depth1 = {}
-    residual = {}
-    for b in c.vertical_letters():
-        a2, b2 = c.corner_partner(a, b)
-        depth1[b] = b2 ^ 1
-        residual[b] = a2 ^ 1
-    return LocalPerm(c, a, depth1, residual)
+    return local_perm(c, a)
 
 
 def horizontal_local_perm(c: SquareComplex, b: int) -> LocalPerm:
-    """Action of a vertical letter on the 2m horizontal letters.
-
-    Mirror of the vertical case via the rotated boundary b a' b' a = 1:
-    the square a b x b' is recovered from the corner (x^-1, b^-1), whose
-    partner is exactly (a^-1, b'^-1).
-    """
+    """Action of a vertical letter on the 2m horizontal letters."""
     if c.side(b) != VERTICAL:
         raise ValueError(f"{c.letter_name(b)} is not vertical")
-    depth1 = {}
-    residual = {}
-    for x in c.horizontal_letters():
-        a_inv, b2_inv = c.corner_partner(x ^ 1, b ^ 1)
-        depth1[x] = a_inv
-        residual[x] = b2_inv
-    return LocalPerm(c, b, depth1, residual)
-
-
-def local_perm(c: SquareComplex, x: int) -> LocalPerm:
-    if c.side(x) == HORIZONTAL:
-        return vertical_local_perm(c, x)
-    return horizontal_local_perm(c, x)
+    return local_perm(c, b)
 
 
 class SphereIndex:
@@ -116,23 +116,21 @@ def sphere_action(
 ) -> Permutation:
     """Permutation induced by ``x`` on the depth-k sphere of the other tree.
 
-    Recursion: the image of w1 w2 .. wk under x is depth1_x(w1) followed by
+    The image of w1 w2 .. wk under x is depth1_x(w1) followed by
     the image of w2 .. wk under residual_x(w1).
     """
     opposite = VERTICAL if c.side(x) == HORIZONTAL else HORIZONTAL
     if sphere is None:
         sphere = SphereIndex(c, opposite, depth)
 
-    def act(actor, word):
-        if not word:
-            return ()
-        lp = sphere.actions[actor]
-        return (lp.depth1[word[0]],) + act(lp.residual[word[0]], word[1:])
-
     images = []
     for word in sphere.words:
-        image = act(x, word)
-        images.append(sphere.position[image])  # image must be a reduced word
+        actor, image = x, []
+        for y in word:
+            lp = sphere.actions[actor]
+            image.append(lp.depth1[y])
+            actor = lp.residual[y]
+        images.append(sphere.position[tuple(image)])  # image must be a reduced word
     return Permutation(images)
 
 
@@ -154,7 +152,7 @@ def local_group(
     largest point-stabilizer order of P^(1) (all point stabilizers have
     that order when P^(1) is transitive).
 
-    ``order_bound`` is forwarded to ``bsgs_build``.  ``Analysis.local_group``
+    ``order_bound`` is forwarded to ``PermGroup``.  ``Analysis.local_group``
     passes ``depth_order_bound`` for depths >= 2, so the order is proven by
     the random phase meeting it; without a bound the build is deterministic.
     """
@@ -167,7 +165,7 @@ def local_group(
     else:
         actors = c.horizontal_letters()[:c.m]
     gens = [sphere_action(c, a, depth, sphere) for a in actors]
-    return bsgs_build(gens, degree=len(sphere), order_bound=order_bound)
+    return PermGroup(gens, degree=len(sphere), order_bound=order_bound)
 
 
 def depth_order_bound(depth1: PermGroup, previous: PermGroup) -> int:

@@ -45,3 +45,18 @@ def quotient_is_abelian(table) -> bool:
 
     n = len(rows)
     return all(times(i, j) == times(j, i) for i in range(n) for j in range(i + 1, n))
+
+
+def depth1_moves(c) -> dict:
+    """Map (x, y) -> the list of (y'^-1, x'^-1) over every reading x y x' y'
+    of a square of c: the four rotations of its relator and of the
+    relator's inverse.  Each reading says x y = y'^-1 x'^-1, so x moves
+    the letter y to y'^-1 and continues as x'^-1."""
+    moves = {}
+    for sq in c.squares:
+        inverse = tuple(x ^ 1 for x in reversed(sq))
+        for word in (tuple(sq), inverse):
+            for i in range(4):
+                x, y, x2, y2 = word[i:] + word[:i]
+                moves.setdefault((x, y), []).append((y2 ^ 1, x2 ^ 1))
+    return moves

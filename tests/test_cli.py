@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vhcert
-from vhcert import corpus
+from vhcert import certificates, corpus
 from vhcert.cli import main
 from vhcert.complexes import ComplexError, parse_complex
 
@@ -255,6 +255,20 @@ def test_nst_fail_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_nst_unknown_exit_two_like_simple_cert(capsys, sigma_path, monkeypatch):
+    # an undecided stabilizer leaves the step unknown, the resource verdict,
+    # whether it is run alone or inside the certificate
+    monkeypatch.setattr(certificates, "recognized_simplicity", lambda group, name: None)
+    code, out = run(capsys, "nst", sigma_path, "--json")
+    assert code == 2
+    assert json.loads(out)["verdict"] == "unknown"
+    code, out = run(capsys, "simple-cert", sigma_path, "--word", WORD,
+                    "--assume-nrf", "--json")
+    assert code == 2
+    steps = {step["name"]: step["verdict"] for step in json.loads(out)["steps"]}
+    assert steps["normal_subgroup_theorem"] == "unknown"
+
+
 def test_irreducible_and_nst_inapplicable_without_link_condition(capsys, tmp_path):
     path = tmp_path / "sigma_minus_first.vh"
     path.write_text(_sigma_without_first_square(), encoding="utf-8")
@@ -488,6 +502,22 @@ def fuzz_path(tmp_path_factory):
                              ["local", "--depth", "1"]]))
 @example(content=corpus.text("lambda").encode(), argv=["local", "--depth", "1"])
 def test_cli_survives_any_file(fuzz_path, content, argv):
+    fuzz_path.write_bytes(content)
+    assert quiet_exit_code([argv[0], str(fuzz_path), *argv[1:]]) in (0, 1, 2, 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=file_contents,
+       argv=st.sampled_from([
+           ["irreducible"], ["nst"], ["local", "--depth", "2"],
+           ["closure-index", "--word", "a1", "--cap", "300"],
+           ["quotient", "--word", "a1*b1", "--cap", "300"],
+           ["rs", "--cap", "300"], ["rs", "--word", "a1", "--cap", "300"],
+           ["simplify", "--cap", "300"],
+           ["simple-cert", "--word", "a1*a1", "--cap", "300"],
+       ]))
+@example(content=corpus.text("lambda").encode(), argv=["nst"])
+def test_every_subcommand_survives_any_file(fuzz_path, content, argv):
     fuzz_path.write_bytes(content)
     assert quiet_exit_code([argv[0], str(fuzz_path), *argv[1:]]) in (0, 1, 2, 64)
 

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vhcert import corpus
 from vhcert.complexes import (
@@ -186,6 +186,32 @@ def test_build_rejects_names_words_cannot_read(name):
         parse_complex(f"complex x\nhorizontal a1\nvertical {name}\n")
     with pytest.raises(ComplexError, match=re.escape(f"generator name {name!r}")):
         SquareComplex.build("x", (name,), ("b1",), [])
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\xa0b", "a\nb", "a#1", "#"])
+def test_build_rejects_names_files_cannot_read(name):
+    # a file line splits on whitespace and ends at '#', and an empty name
+    # leaves no token at all
+    with pytest.raises(ComplexError, match=re.escape(f"generator name {name!r}")):
+        SquareComplex.build("x", ("a1",), (name,), [])
+
+
+generator_names = st.lists(st.text(max_size=4), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_names, generator_names)
+@example(["a b"], ["b1"])
+@example(["a1"], ["b#1"])
+@example(["a\u2028"], ["b1"])
+def test_built_names_round_trip_or_raise(hnames, vnames):
+    # one square a1 b1 a1^-1 b1^-1, so the names are written in a square line too
+    m = len(hnames)
+    try:
+        c = SquareComplex.build("x", hnames, vnames, [(0, 2 * m, 1, 2 * m + 1)])
+    except ComplexError:
+        return
+    assert parse_complex(render_complex(c)) == c
 
 
 def test_euler_characteristic(lam, delta, sigma):

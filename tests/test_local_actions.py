@@ -10,10 +10,13 @@ from vhcert.local_actions import (
     depth_order_bound,
     horizontal_local_perm,
     local_group,
+    local_perm,
     sphere_action,
     vertical_local_perm,
 )
 from vhcert.permgroups import PermGroup
+
+from oracles import depth1_moves
 
 
 def _letter(c, name: str) -> int:
@@ -53,6 +56,22 @@ def test_lambda_b1_fixes_a1(lam):
 def test_sigma_b4_maps_a3_to_a1_inverse(sigma):
     lp = horizontal_local_perm(sigma, _letter(sigma, "b4"))
     assert lp.depth1[_letter(sigma, "a3")] == _letter(sigma, "a1'")
+
+
+@pytest.mark.parametrize("name", corpus.NAMES)
+def test_local_perm_matches_the_square_readings(name):
+    # the eight readings of each square, taken straight from c.squares,
+    # cover every (actor, letter) pair of opposite sides exactly once
+    c = corpus.load(name)
+    moves = depth1_moves(c)
+    h, v = c.horizontal_letters(), c.vertical_letters()
+    assert set(moves) == {(x, y) for x in h for y in v} | {(y, x) for x in h for y in v}
+    assert all(len(found) == 1 for found in moves.values())
+    for actor, letters in [(x, v) for x in h] + [(y, h) for y in v]:
+        lp = local_perm(c, actor)
+        assert {y: (lp.depth1[y], lp.residual[y]) for y in lp.depth1} == {
+            y: moves[actor, y][0] for y in letters
+        }
 
 
 def test_errors_name_the_generators(sigma):
