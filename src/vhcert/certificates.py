@@ -150,10 +150,7 @@ def irreducibility_check(c: Analysis | SquareComplex) -> Step:
     |P_v^(2)| = |Alt(2n)| * |Alt(2n-1)|^(2n)."""
     a = Analysis.of(c)
     c = a.complex
-    citation = (
-        "Burger-Mozes irreducibility criterion via the order of the "
-        "depth-2 vertical local group"
-    )
+    citation = IRREDUCIBILITY_CITATION
     if not a.link.ok:
         return Step(
             "irreducibility", INAPPLICABLE,
@@ -190,7 +187,7 @@ def nst_check(c: Analysis | SquareComplex) -> Step:
     finite simple.  On pass, every nontrivial normal subgroup of the
     complex's group has finite index."""
     a = Analysis.of(c)
-    citation = "Burger-Mozes normal subgroup theorem"
+    citation = NST_CITATION
     if not a.link.ok:
         return Step(
             "normal_subgroup_theorem", INAPPLICABLE,
@@ -276,13 +273,18 @@ EMBED_CITATION = (
     "a locally isometric subcomplex embeds pi_1-injectively "
     "(Bridson-Haefliger II.4.14)"
 )
+IRREDUCIBILITY_CITATION = (
+    "Burger-Mozes irreducibility criterion via the order of the "
+    "depth-2 vertical local group"
+)
+NST_CITATION = "Burger-Mozes normal subgroup theorem"
 CLOSURE_CITATION = "coset enumeration of the quotient by the normal closure"
 
 # The steps that a failed link condition turns into SKIPPED, in order.
 LINK_SKIPS = (
     ("subcomplex_embedding", EMBED_CITATION),
-    ("irreducibility", "Burger-Mozes irreducibility criterion"),
-    ("normal_subgroup_theorem", "Burger-Mozes normal subgroup theorem"),
+    ("irreducibility", IRREDUCIBILITY_CITATION),
+    ("normal_subgroup_theorem", NST_CITATION),
     ("normal_closure_index", CLOSURE_CITATION),
 )
 

@@ -3,9 +3,9 @@
 Every subcommand computes a JSON-ready report; text output is rendered
 from that report, so ``--json`` and the default text view never drift.
 Exit codes: 0 success, 1 mathematical failure (e.g. a link violation),
-2 an "unknown" verdict, never an "infinite" (the coset cap ran out, or a
-step such as the normal subgroup theorem could not be decided), 64 usage
-error.  Runs are deterministic: identical arguments on
+2 an "unknown" verdict, never an "infinite" (the coset cap or memory ran
+out, or a step such as the normal subgroup theorem could not be decided),
+64 usage error.  Runs are deterministic: identical arguments on
 identical input files produce byte-identical output.
 """
 
@@ -62,6 +62,15 @@ def _emit(report: dict, as_json: bool, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _exhausted(args, analysis, what: str, **report) -> int:
+    """A run that ran out of a resource: its verdict is unknown.  The
+    complex is null when that happened while reading it."""
+    name = None if analysis is None else analysis.complex.name
+    _emit({"complex": name, "verdict": UNKNOWN, **report}, args.as_json,
+          [f"exhausted: {what} (result unknown)"])
+    return EXIT_EXHAUSTED
 
 
 def _link_failure(args, a: Analysis) -> int:
@@ -362,21 +371,23 @@ def main(argv=None) -> int:
         parser.error("caps and budgets must be positive")
     if getattr(args, "m", 1) < 1 or getattr(args, "n", 1) < 1:
         parser.error("--m and --n must be positive")
+    analysis = None
     try:
-        analysis = _load(args.path) if "path" in args else None
+        if "path" in args:
+            analysis = _load(args.path)
         return args.run(args, analysis)
     except EnumerationExhausted as exc:
-        _emit({"complex": analysis.complex.name, "verdict": UNKNOWN,
-               "coset_cap": exc.cap},
-              args.as_json,
-              [f"exhausted: no closure within {exc.cap} cosets (result unknown)"])
-        return EXIT_EXHAUSTED
+        return _exhausted(args, analysis, f"no closure within {exc.cap} cosets",
+                          coset_cap=exc.cap)
+    except MemoryError:
+        pass  # reported below, once the traceback has freed what it held
     except (ComplexError, WordError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return _exhausted(args, analysis, "out of memory", out_of_memory=True)
 
 
 if __name__ == "__main__":

@@ -116,13 +116,17 @@ class SquareComplex:
     def build(cls, name, hnames, vnames, squares) -> "SquareComplex":
         hnames = tuple(hnames)
         vnames = tuple(vnames)
+        # a file line splits on whitespace and ends at '#'
+        if not name or any(ch == "#" or ch.isspace() for ch in name):
+            raise ComplexError(f"complex name {name!r} is not readable in a file "
+                               "(nonempty, no '#' or whitespace)")
         if not hnames or not vnames:
             raise ComplexError("both generator families must be nonempty")
         if len(set(hnames) | set(vnames)) != len(hnames) + len(vnames):
             raise ComplexError("generator names must be distinct")
         for g in hnames + vnames:
-            # a word splits on '*' and '^' and reads a bare 1 as the
-            # identity; a file line splits on whitespace and ends at '#'
+            # a word also splits on '*' and '^' and reads a bare 1 as the
+            # identity
             if not g or g == "1" or any(ch in "*^#" or ch.isspace() for ch in g):
                 raise ComplexError(
                     f"generator name {g!r} is not readable in a word or a file "

@@ -48,10 +48,10 @@ A normal closure puts its added relator first, so coset 0 scans it, and
 starts collapsing the table with its coincidences, before the relators
 of the group it is added to grow the table.
 
-When the coset cap is reached, the queue is drained; if no coset has died
-the enumeration stops with the resource verdict ``EnumerationExhausted``
-(never "infinite"), otherwise the preferred list is cleared, the dead
-rows are compressed away and the loop restarts from coset 0.
+At the coset cap the queue is drained; if no coset has died the
+enumeration stops with the resource verdict ``EnumerationExhausted``
+(never "infinite"), else the preferred list is cleared, the dead rows
+are compressed away and the loop carries on from the coset in progress.
 
 Every closed table, enumerated or built directly, is finished the same
 way: standardized (the live cosets renumbered breadth-first from coset 0,
@@ -74,6 +74,7 @@ generators, must multiply to the index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
 
@@ -392,63 +393,61 @@ class CosetTable:
                 self._process_deductions()
                 return
 
-    def _enumerate(self, scans) -> None:
-        """One pass from coset 0: the subgroup generators are scanned from
-        coset 0, then coset 0 scans every relator and each later live
-        coset the relators in ``scans``, with definitions, and each fills
-        its remaining empty entries.  The deduction queue is drained after
-        each scan and after each definition; each relator scan and each
-        fill definition is followed by at most one preferred definition,
-        so the coset order stays fair."""
-        table = self.table
+    def _complete(self, alpha: int, scans) -> None:
+        """Coset alpha's turn, which ends if it dies: coset 0 scans the
+        subgroup generators, then every relator, and a later coset the
+        relators in ``scans``, with definitions; then it fills its empty
+        entries.  The queue is drained after each scan and definition;
+        each relator scan and fill definition is followed by at most one
+        preferred definition, so the coset order stays fair."""
         p = self.p
         scan = self._scan
         drain = self._process_deductions
         prefer = self._define_preferred
-        for cols in self.subgen_cols:
+        for cols in () if alpha else self.subgen_cols:
             scan(0, cols)
             drain()
-        alpha = 0
-        while alpha < len(table):
-            for cols in scans if alpha else self.presentation.relators:
-                if p[alpha] != alpha:
-                    break
-                scan(alpha, cols)
+        for cols in scans if alpha else self.presentation.relators:
+            if p[alpha] != alpha:
+                return
+            scan(alpha, cols)
+            drain()
+            prefer()
+        row = self.table[alpha]
+        for col in range(self.ncols):
+            if p[alpha] != alpha:
+                return
+            if row[col] is None:
+                self._define(alpha, col)
                 drain()
                 prefer()
-            row = table[alpha]
-            for col in range(self.ncols):
-                if p[alpha] != alpha:
-                    break
-                if row[col] is None:
-                    self._define(alpha, col)
-                    drain()
-                    prefer()
-            alpha += 1
 
     # -- closure ------------------------------------------------------------
 
     def run(self) -> "CosetTable":
-        # The only difference between the strategies: HLT scans the
-        # relators with definitions from each coset after coset 0 as
-        # well, Felsch does not.
+        # The strategies differ only here: HLT scans the relators with
+        # definitions from every coset, Felsch from coset 0 alone.
         relators = self.presentation.relators
         scans = relators if self.strategy == "hlt" else ()
         # here, not in __init__: a directly built table never scans
         self.column_rotations = _column_rotations(relators, self.ncols)
-        while True:
+        alpha = 0
+        while alpha < len(self.table):
             try:
-                self._enumerate(scans)
-                break
+                if self.p[alpha] == alpha:
+                    self._complete(alpha, scans)
+                alpha += 1
             except _CapHit:
-                # Drain first: queued entries hold row numbers that
-                # compression would make stale.
+                # Queued and preferred entries hold row numbers that
+                # compression would make stale: drain the queue first.
                 self._process_deductions()
                 if self.live == len(self.table):
                     raise EnumerationExhausted(self.cap) from None
-                # the preferred entries hold row numbers too
                 self._preferred.clear()
-                self._keep_rows(self.live_cosets())
+                # carry on at alpha's new number: the cosets before it are complete
+                live = self.live_cosets()
+                alpha = bisect_left(live, alpha)
+                self._keep_rows(live)
         self._close()
         return self
 

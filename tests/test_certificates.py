@@ -187,6 +187,19 @@ def test_certificate_fault_injection_link(sigma):
     assert "no conclusion" in cert.conclusion
 
 
+def test_skipped_steps_cite_what_passing_steps_cite(sigma):
+    # a step has one citation, whether it ran or a failed link condition
+    # skipped it; every step of the golden certificate ran and passed
+    golden = json.loads((DATA / "sigma_certificate.json").read_text())
+    assert {step["verdict"] for step in golden["steps"]} == {PASS}
+    broken = SquareComplex(sigma.name, sigma.hnames, sigma.vnames, sigma.squares[1:])
+    cert = simplicity_certificate(broken, WORD)
+    assert [s.verdict for s in cert.steps[1:]] == ["skipped"] * 5
+    assert [(s.name, s.citation) for s in cert.steps] == [
+        (step["name"], step["citation"]) for step in golden["steps"]
+    ]
+
+
 def test_certificate_refutes_assumption_for_odd_parity_word(sigma):
     # the finite residual lies inside the parity kernel, so a word of odd
     # parity refutes the membership assumption instead of using it
@@ -295,7 +308,7 @@ def test_certificate_computes_each_fact_once(sigma, monkeypatch):
 # in order; together they reach every verdict and every conclusion branch
 # but one (simple with a closure of index other than 4).
 CERTIFICATE_BRANCHES_DIGEST = (
-    "f3313cd4cf391b12d23362012675241bd17c35d461680839fb15ef93ddd653e7"
+    "28ed63d6084d520be2fb50fb89c9c4c580def121c6caf2f0ea9f543eb74e001e"
 )
 
 

@@ -295,6 +295,41 @@ def test_closure_index_exhausted_exit_two(capsys, sigma_path):
     assert "unknown" in out
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_out_of_memory_exit_two(sigma_path, as_json):
+    # about 100 MB of address space, for the child alone: sigma's depth-3
+    # horizontal local group runs out of it within a second
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    src = str(Path(vhcert.__file__).resolve().parents[1])
+    argv = ["local", sigma_path, "--side", "h", "--depth", "3", *["--json"] * as_json]
+    out = subprocess.run(
+        [sys.executable, "-m", "vhcert", *argv], env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=limit_memory, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    if as_json:
+        assert json.loads(out.stdout) == {
+            "complex": "sigma", "verdict": "unknown", "out_of_memory": True,
+        }
+    else:
+        assert out.stdout == "exhausted: out of memory (result unknown)\n"
+
+
+def test_out_of_memory_while_reading_exit_two(capsys, sigma_path, monkeypatch):
+    # no complex was read, so the report names none
+    def load(path):
+        raise MemoryError
+
+    monkeypatch.setattr("vhcert.cli._load", load)
+    code, out = run(capsys, "check-link", sigma_path, "--json")
+    assert code == 2
+    assert json.loads(out) == {"complex": None, "verdict": "unknown", "out_of_memory": True}
+
+
 def test_huge_exponent_exit_one(capsys, sigma_path):
     # refused before the word is expanded, with one line on stderr
     code = main(["closure-index", sigma_path, "--word", "a1^99999999999999999999"])

@@ -196,19 +196,28 @@ def test_build_rejects_names_files_cannot_read(name):
         SquareComplex.build("x", ("a1",), (name,), [])
 
 
+@pytest.mark.parametrize("name", ["", "a b", "a#1", "x\n", "\u2028"])
+def test_build_rejects_complex_names_files_cannot_read(name):
+    # the complex line splits on whitespace and ends at '#'
+    with pytest.raises(ComplexError, match=re.escape(f"complex name {name!r}")):
+        SquareComplex.build(name, ("a1",), ("b1",), [(0, 2, 1, 3)])
+
+
 generator_names = st.lists(st.text(max_size=4), min_size=1, max_size=3)
 
 
 @settings(max_examples=300, deadline=None)
-@given(generator_names, generator_names)
-@example(["a b"], ["b1"])
-@example(["a1"], ["b#1"])
-@example(["a\u2028"], ["b1"])
-def test_built_names_round_trip_or_raise(hnames, vnames):
+@given(st.text(max_size=4), generator_names, generator_names)
+@example("x", ["a b"], ["b1"])
+@example("x", ["a1"], ["b#1"])
+@example("x", ["a\u2028"], ["b1"])
+@example("a b", ["a1"], ["b1"])
+@example("x\n", ["a1"], ["b1"])
+def test_built_names_round_trip_or_raise(name, hnames, vnames):
     # one square a1 b1 a1^-1 b1^-1, so the names are written in a square line too
     m = len(hnames)
     try:
-        c = SquareComplex.build("x", hnames, vnames, [(0, 2 * m, 1, 2 * m + 1)])
+        c = SquareComplex.build(name, hnames, vnames, [(0, 2 * m, 1, 2 * m + 1)])
     except ComplexError:
         return
     assert parse_complex(render_complex(c)) == c

@@ -336,6 +336,31 @@ def test_preferred_definitions_at_the_cap(sigma, strategy, witness_first, cap):
     assert table.compressions > 0 and table.preferred > 0
 
 
+class _CountedCosetZeroScans(_CountedCompressions):
+    """Counts the scans with definitions made from coset 0."""
+
+    zero_scans = 0
+
+    def _scan(self, alpha, cols):
+        self.zero_scans += alpha == 0
+        super()._scan(alpha, cols)
+
+
+@pytest.mark.parametrize("strategy,witness_first,cap,counts",
+                         [("hlt", False, 1165, (1160, 1173)),
+                          ("felsch", True, 1512, (1508, 1516))])
+def test_compression_carries_on_from_the_coset_in_progress(sigma, strategy, witness_first,
+                                                           cap, counts):
+    # each run compresses once, after coset 0's turn: coset 0 scans each of
+    # the 25 relators once, where a restart from coset 0 would scan them
+    # all again; the work counts are those of the same runs without a cap
+    quotient = _witness_quotient(sigma, witness_first)
+    table = _CountedCosetZeroScans(quotient, (), cap, strategy).run()
+    assert table.index == 4 and table.compressions == 1
+    assert table.zero_scans == len(quotient.relators) == 25
+    assert (table.max_live, table.total_defined) == counts
+
+
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
 def test_preferred_definitions_until_exhaustion(strategy):
     # a torus word whose quotient is infinite: the table compresses at the
