@@ -5,7 +5,8 @@ Usage: python3 .github/check_pins.py TRACE_FILE NAME=VALUE [NAME=VALUE ...]
 TRACE_FILE holds the stdout of ``perfbench/run.py --trace 1``, whose last
 line is the run's JSON summary.  The script exits 0 when every named
 metric has exactly its pinned value, and otherwise exits 1 with a message
-that gives the values found and the values expected.
+that gives the values found and the values expected, or that names a
+pinned metric the run does not report.
 """
 
 import json
@@ -22,6 +23,9 @@ def main(argv):
     for pin in pins:
         name, _, value = pin.partition("=")
         want[name] = int(value)
+    unknown = sorted(set(want) - set(metrics))
+    if unknown:
+        return f"no metric named {', '.join(unknown)} in {path}"
     got = {name: metrics[name]["value"] for name in want}
     return 0 if got == want else f"pass-0 counters {got}, expected {want}"
 

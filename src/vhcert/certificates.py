@@ -32,8 +32,8 @@ from vhcert.complexes import (
     euler_characteristic,
     letters_from_names,
 )
-from vhcert.fpgroups import index4_hom, presentation_from_complex
-from vhcert.local_actions import SphereIndex, depth_order_bound, local_group
+from vhcert.fpgroups import Presentation, abelianization, index4_hom, presentation_from_complex
+from vhcert.local_actions import local_group
 from vhcert.permgroups import (
     PermGroup,
     is_k_transitive,
@@ -88,8 +88,9 @@ class Analysis:
 
     Each fact is computed at most once, on first use: the link report,
     the presentation, the parity homomorphism, the local groups keyed by
-    (side, depth), the recognition of each group, and the irreducibility
-    step that the normal subgroup theorem step builds on.
+    (side, depth) (built by ``local_group``; this class only caches them),
+    the recognition of each group, and the irreducibility step that the
+    normal subgroup theorem step builds on.
     """
 
     def __init__(self, c: SquareComplex):
@@ -119,19 +120,9 @@ class Analysis:
         return irreducibility_check(self)
 
     def local_group(self, side: str, depth: int) -> PermGroup:
-        """P^(depth) of one side; from depth 2 on, built against the proven
-        ``depth_order_bound`` of the groups one and depth - 1 deep."""
+        """P^(depth) of one side, built by ``local_group`` on first use."""
         if (side, depth) not in self._groups:
-            # the sphere refuses a depth above the cap before any group is built
-            sphere = SphereIndex(self.complex, side, depth)
-            bound = None
-            if depth >= 2:
-                bound = depth_order_bound(
-                    self.local_group(side, 1), self.local_group(side, depth - 1)
-                )
-            self._groups[side, depth] = local_group(
-                self.complex, side, depth, sphere, order_bound=bound
-            )
+            local_group(self.complex, side, depth, self._groups)
         return self._groups[side, depth]
 
     def recognize(self, group: PermGroup) -> str:
@@ -306,13 +297,12 @@ def link_check(a: Analysis) -> Step:
     )
 
 
-def embedding_check(c: Analysis | SquareComplex, word) -> Step:
-    """The bundled delta complex (generators a1..a4, b1..b3) as a subcomplex
-    of ``c``: it satisfies the link condition, its squares are the
-    reference's, and the parsed ``word`` uses only its generators."""
+def embedding_check(c: Analysis | SquareComplex, word, reference: SquareComplex) -> Step:
+    """``reference`` (the bundled delta complex, generators a1..a4, b1..b3)
+    as a subcomplex of ``c``: it satisfies the link condition, its squares
+    are the reference's, and the parsed ``word`` uses only its generators."""
     a = Analysis.of(c)
     c = a.complex
-    reference = corpus.load("delta")
     names = (*reference.hnames, *reference.vnames)
     missing = [name for name in names if name not in c.names]
     if missing:
@@ -399,10 +389,11 @@ def simplicity_certificate(
         word = p.parse_word(word)
     word_text = p.word_to_string(word)
 
+    reference = corpus.load("delta")
     steps = [link_check(a)]
     quotient = None
     if a.link.ok:
-        steps += [embedding_check(a, word), a.irreducibility, nst_check(a)]
+        steps += [embedding_check(a, word, reference), a.irreducibility, nst_check(a)]
         closure, quotient = closure_check(a, word, cap, strategy)
         steps.append(closure)
     else:
@@ -430,19 +421,35 @@ def simplicity_certificate(
     )
     # The finite residual lies inside every finite-index subgroup, in
     # particular inside the parity kernel; a word of odd parity therefore
-    # refutes the membership assumption outright.
-    refuted = not in_kernel
-    simple = core_pass and assume_nrf and not refuted
+    # refutes the membership assumption outright.  So does an even word that
+    # is nontrivial in the abelianization of the subcomplex's group D: D^ab
+    # is residually finite, and adding a word that maps to 0 in it as a
+    # relator leaves it unchanged (a finitely generated abelian group is
+    # Hopfian, so the converse holds too).
+    refutation = None
+    if not in_kernel:
+        refutation = (f"the word {word_text} is not in the parity kernel, so it "
+                      f"cannot lie in the finite residual of {c.name}")
+    elif core_pass and assume_nrf:
+        d = presentation_from_complex(reference)
+        relator = [2 * d.generators.index(p.generators[x >> 1]) + (x & 1) for x in word]
+        before = abelianization(d)
+        after = abelianization(Presentation.build(d.generators, (*d.relators, relator)))
+        if before != after:
+            refutation = (
+                f"the word {word_text} is not trivial in the abelianization of the "
+                f"embedded subcomplex's group ({before}, but {after} with the word "
+                "as a relator), so it lies outside one of its finite-index subgroups"
+            )
+    simple = core_pass and assume_nrf and refutation is None
     index_note = (
         f"; the normal closure of {word_text} has index {index}" if index is not None else ""
     )
 
-    if core_pass and assume_nrf and refuted:
+    if core_pass and assume_nrf and refutation:
         conclusion = (
-            f"the word {word_text} is not in the parity kernel, so it cannot "
-            f"lie in the finite residual of {c.name}: the acknowledged "
-            "membership assumption is refuted and no simplicity conclusion "
-            "is drawn" + index_note
+            refutation + ": the acknowledged membership assumption is refuted "
+            "and no simplicity conclusion is drawn" + index_note
         )
     elif simple and steps[-1].verdict == PASS:
         conclusion = (

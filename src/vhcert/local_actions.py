@@ -7,7 +7,8 @@ a'^-1.  ``local_perm`` reads that depth-1 map plus residual letter for
 either side; it determines the action on every k-sphere one letter at a
 time, and the groups these actions generate are the local groups of the
 complex (vertical side generated by a_1..a_m, horizontal side by
-b_1..b_n, acting on reduced words of the other side).
+b_1..b_n, acting on reduced words of the other side).  ``local_group``
+is their one builder, and it proves every order from depth 2 on.
 Letters are the ints of ``complexes``, so ``x ^ 1`` is the inverse of x.
 """
 
@@ -135,8 +136,7 @@ def sphere_action(
 
 
 def local_group(
-    c: SquareComplex, side: str, depth: int, sphere: SphereIndex | None = None,
-    order_bound: int | None = None,
+    c: SquareComplex, side: str, depth: int, groups: dict | None = None,
 ) -> PermGroup:
     """The local group of one side at the given sphere depth.
 
@@ -152,20 +152,29 @@ def local_group(
     largest point-stabilizer order of P^(1) (all point stabilizers have
     that order when P^(1) is transitive).
 
-    ``order_bound`` is forwarded to ``PermGroup``.  ``Analysis.local_group``
-    passes ``depth_order_bound`` for depths >= 2, so the order is proven by
-    the random phase meeting it; without a bound the build is deterministic.
+    From depth 2 on the order is proven by the random phase meeting that
+    ``depth_order_bound``.  P^(1) and P^(k-1) come from ``groups``, this
+    complex's groups keyed by (side, depth), or are built into it, as is
+    the result.
     """
     if side not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"side must be 'h' or 'v', not {side!r}")
-    if sphere is None:
-        sphere = SphereIndex(c, side, depth)
+    # the sphere refuses a depth above the cap before any group is built
+    sphere = SphereIndex(c, side, depth)
+    groups = {} if groups is None else groups
+    bound = None
+    if depth >= 2:
+        for k in (1, depth - 1):
+            if (side, k) not in groups:
+                local_group(c, side, k, groups)
+        bound = depth_order_bound(groups[side, 1], groups[side, depth - 1])
     if side == HORIZONTAL:
         actors = c.vertical_letters()[:c.n]
     else:
         actors = c.horizontal_letters()[:c.m]
     gens = [sphere_action(c, a, depth, sphere) for a in actors]
-    return PermGroup(gens, degree=len(sphere), order_bound=order_bound)
+    groups[side, depth] = PermGroup(gens, degree=len(sphere), order_bound=bound)
+    return groups[side, depth]
 
 
 def depth_order_bound(depth1: PermGroup, previous: PermGroup) -> int:

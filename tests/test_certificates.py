@@ -2,6 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from vhcert.certificates import (
     FAIL,
     INAPPLICABLE,
@@ -209,6 +211,40 @@ def test_certificate_refutes_assumption_for_odd_parity_word(sigma):
     assert by_name["parity_kernel_identification"].verdict == INAPPLICABLE
     assert not cert.simple
     assert "refuted" in cert.conclusion
+
+
+REFUTED = ": the acknowledged membership assumption is refuted and no simplicity conclusion is drawn"
+
+
+@pytest.mark.parametrize("word, conclusion", [
+    # a typo in the witness's last letter: even, and every step passes, but
+    # adding it to delta's relators turns delta^ab = Z^3 into Z^2
+    ("a2*a1^-1*a3*a2^-1",
+     "the word a2*a1^-1*a3*a2^-1 is not trivial in the abelianization of the "
+     "embedded subcomplex's group (Z^3, but Z^2 with the word as a relator), "
+     "so it lies outside one of its finite-index subgroups" + REFUTED
+     + "; the normal closure of a2*a1^-1*a3*a2^-1 has index 4"),
+    ("a1",
+     "the word a1 is not in the parity kernel, so it cannot lie in the finite "
+     "residual of sigma" + REFUTED + "; the normal closure of a1 has index 2"),
+    (WORD,
+     "the normal closure of a2*a1^-1*a3*a4^-1 equals the finite residual and "
+     "the parity kernel of sigma: a finitely presented, torsion-free, simple "
+     "group of index 4"),
+], ids=["abelianization", "parity", "witness"])
+def test_certificate_refutes_a_word_nontrivial_in_the_subcomplex_abelianization(
+    sigma, word, conclusion,
+):
+    cert = simplicity_certificate(sigma, word, assume_nrf=True, cap=100_000)
+    assert [s.verdict for s in cert.steps[:-1]] == [PASS] * 5
+    assert cert.conclusion == conclusion
+    assert cert.simple == (word == WORD)
+
+
+def test_amalgam_ranks_refuse_nonpositive_ranks():
+    for m, n in ((0, 1), (1, 0), (-2, 3)):
+        with pytest.raises(ValueError, match="^m and n must be positive$"):
+            amalgam_ranks(m, n)
 
 
 def test_certificate_fault_injection_word_outside_subcomplex(sigma):

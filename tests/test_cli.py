@@ -420,6 +420,16 @@ def test_simple_cert_text_mentions_conclusion(capsys, sigma_path):
     assert "simple group of index 4" in out
 
 
+def test_simple_cert_refuted_word_exit_zero(capsys, sigma_path):
+    # every step verdict passes, so the exit code is 0, as for an odd word;
+    # the refutation is in the conclusion
+    code, out = run(capsys, "simple-cert", sigma_path, "--word", "a2*a1^-1*a3*a2^-1",
+                    "--assume-nrf")
+    assert code == 0
+    assert "(Z^3, but Z^2 with the word as a relator)" in out
+    assert "simple group" not in out
+
+
 def test_simple_cert_exhaustion_exit_two(capsys, sigma_path):
     code, _ = run(capsys, "simple-cert", sigma_path, "--word", WORD,
                   "--assume-nrf", "--cap", "50")

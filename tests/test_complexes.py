@@ -130,6 +130,30 @@ def test_parse_rejects_second_alphabet_line(kind):
         parse_complex(text + f"{kind} x1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("complex x\nhorizontal a1\nvertical b1\nsquare a1^2 b1 a1^-1 b1^-1\n",
+     r"^line 4: bad exponent in 'a1\^2' \(only \^-1 is allowed\)$"),
+    ("complex x\ncomplex y\n", "^line 2: duplicate complex line$"),
+    ("complex x\nhorizontal a1\nvertical\n",
+     "^line 3: at least one vertical generator is required$"),
+], ids=["exponent", "second_complex", "bare_vertical"])
+def test_parse_rejects_malformed_lines(text, message):
+    with pytest.raises(ComplexError, match=message):
+        parse_complex(text)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: SquareComplex.build("x", (), c.vnames, []),
+     "^both generator families must be nonempty$"),
+    (lambda c: letters_from_names(c, ["a1", "a9"]), "^unknown generator 'a9'$"),
+    (lambda c: check_subcomplex(c, set(), letters_from_names(c, ["b1"])),
+     "^subcomplex generator subsets must be nonempty$"),
+], ids=["empty_family", "unknown_name", "empty_subset"])
+def test_generator_sets_are_validated(sigma, call, message):
+    with pytest.raises(ComplexError, match=message):
+        call(sigma)
+
+
 def test_parse_rejects_wrong_side():
     text = "complex x\nhorizontal a1\nvertical b1\nsquare b1 a1 b1 a1\n"
     with pytest.raises(ComplexError, match="undeclared"):

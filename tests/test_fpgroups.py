@@ -136,6 +136,12 @@ def test_index4_hom_requires_sides():
         index4_hom(p)
 
 
+def test_index4_hom_refuses_an_odd_relator():
+    p = Presentation.build(("a", "b"), [(0, 2)], sides=("h", "v"))
+    with pytest.raises(WordError, match=r"^relator \(0, 2\) is not in the parity kernel$"):
+        index4_hom(p)
+
+
 def _check_snf(matrix):
     factors, u, v = smith_normal_form(matrix)
     for a, b in zip(factors, factors[1:]):

@@ -161,6 +161,13 @@ def test_depth_cap_refuses_before_building_the_sphere(sigma, monkeypatch):
     assert built == []
 
 
+def test_sphere_depth_and_side_are_validated(sigma):
+    with pytest.raises(ValueError, match="^sphere depth must be >= 1$"):
+        SphereIndex(sigma, "v", 0)
+    with pytest.raises(ValueError, match="^side must be 'h' or 'v', not 'x'$"):
+        local_group(sigma, "x", 1)
+
+
 def test_local_group_orders_depth1(lam, sigma):
     assert local_group(lam, "v", 1).order == 360
     assert local_group(lam, "h", 1).order == 360
@@ -194,16 +201,16 @@ def test_order_invariant_under_relabelling(lam):
     assert local_group(shuffled, "v", 2).order == 360 * 60**6
 
 
+def _unbounded(group):
+    """The group rebuilt from its generators by the deterministic run."""
+    return PermGroup(group.generators, group.degree)
+
+
 def _depth_bound(c, side, depth):
     """|P^(depth-1)| and ``depth_order_bound``, from groups built without a
     bound."""
-    previous = local_group(c, side, depth - 1)
-    return previous.order, depth_order_bound(local_group(c, side, 1), previous)
-
-
-def _unbounded_order(group):
-    """The deterministic order of a group built against a bound."""
-    return PermGroup(group.generators, group.degree).order
+    previous = _unbounded(local_group(c, side, depth - 1))
+    return previous.order, depth_order_bound(_unbounded(local_group(c, side, 1)), previous)
 
 
 DEPTH_BOUND_CASES = [
@@ -216,7 +223,7 @@ def test_local_group_order_between_depth_bounds(name, side, depth):
     c = corpus.load(name)
     lower, bound = _depth_bound(c, side, depth)
     group = Analysis(c).local_group(side, depth)
-    order = _unbounded_order(group)
+    order = _unbounded(group).order
     assert group.order == order
     assert order % lower == 0
     assert order <= bound
@@ -227,7 +234,7 @@ def test_depth_bound_is_the_irreducibility_target_on_sigma(sigma):
     # P_v^(1) = Alt(8) is transitive with point stabilizers Alt(7)
     _, bound = _depth_bound(sigma, "v", 2)
     group = Analysis(sigma).local_group("v", 2)
-    assert bound == 20160 * 2520**8 == _unbounded_order(group) == group.order
+    assert bound == 20160 * 2520**8 == _unbounded(group).order == group.order
 
 
 def test_sigma_vertical_depth3_meets_its_bound(sigma):

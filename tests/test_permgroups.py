@@ -11,6 +11,7 @@ from vhcert.certificates import Analysis
 from vhcert.checks import VerificationError
 from vhcert.local_actions import depth_order_bound, local_group
 from vhcert.permgroups import (
+    PermGroup,
     Permutation,
     PermutationError,
     _bounded_schreier_sims,
@@ -23,6 +24,7 @@ from vhcert.permgroups import (
     normal_closure,
     point_stabilizer,
     recognize,
+    recognized_simplicity,
 )
 
 
@@ -112,6 +114,26 @@ def test_membership():
         (0, 0, 1, 2) in g
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: perm("(1,2)", 2) * perm("(1,2)", 3), "^degree mismatch$"),
+    (lambda: Permutation.from_cycles([(1, 2, 1)], 3), r"^repeated point in cycle \(1, 2, 1\)$"),
+    (lambda: Permutation.from_cycles([(1, 4)], 3), r"^point 4 out of range 1\.\.3$"),
+    (lambda: PermGroup([]), "^degree required for the trivial group$"),
+    (lambda: PermGroup([(1, 0), (0, 2, 1)]), "^generators of mixed degree$"),
+], ids=["mul_degrees", "cycle_repeats", "cycle_range", "no_degree", "mixed_degrees"])
+def test_malformed_permutations_and_groups_are_refused(build, message):
+    with pytest.raises(PermutationError, match=message):
+        build()
+
+
+def test_trivial_and_symmetric_groups_are_not_simple():
+    assert brute_simplicity(bsgs_build([], degree=3)) == ("not_simple", None)
+    for d in (3, 4, 5):
+        sym = bsgs_build([perm("(1,2)", d), Permutation.from_cycles([range(1, d + 1)], d)])
+        assert recognize(sym) == f"Sym({d})"
+        assert recognized_simplicity(sym, f"Sym({d})") is False
+
+
 def test_out_of_range_points_and_k_are_refused():
     g = bsgs_build([perm("(1,2,3,4)"), perm("(1,2)", 4)])
     for point in (4, 7, -1):
@@ -194,16 +216,25 @@ CHAIN_DIGESTS = {
 }
 
 
+def _chain_digest(group):
+    chain = (group._base, [list(lvl.orbit) for lvl in group._levels],
+             [lvl.gens for lvl in group._levels])
+    return hashlib.sha256(repr(chain).encode()).hexdigest()
+
+
 def test_chains_are_pinned(lam, delta, sigma):
-    analyses = {"lambda": Analysis(lam), "delta": Analysis(delta), "sigma": Analysis(sigma)}
+    # a bare local_group call, with no groups shared, builds the same chain
+    # as the certificate's Analysis
+    complexes = {"lambda": lam, "delta": delta, "sigma": sigma}
+    analyses = {name: Analysis(c) for name, c in complexes.items()}
     for (name, side, depth, point), want in CHAIN_DIGESTS.items():
         group = analyses[name].local_group(side, depth)
         if point is not None:
             group = point_stabilizer(group, point)
-        chain = (group._base, [list(lvl.orbit) for lvl in group._levels],
-                 [lvl.gens for lvl in group._levels])
-        digest = hashlib.sha256(repr(chain).encode()).hexdigest()
-        assert digest == want, (name, side, depth, point)
+        else:
+            bare = local_group(complexes[name], side, depth)
+            assert _chain_digest(bare) == want, ("bare", name, side, depth)
+        assert _chain_digest(group) == want, (name, side, depth, point)
 
 
 def test_bound_overshoot_raises():

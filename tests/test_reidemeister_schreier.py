@@ -20,6 +20,7 @@ from vhcert.reidemeister_schreier import (
     tietze_simplify,
 )
 from vhcert.todd_coxeter import (
+    CosetTable,
     enumerate_cosets,
     normal_closure_table,
     parity_kernel_table,
@@ -31,6 +32,18 @@ def pres(gen_names, *relator_strings):
     return Presentation.build(
         tuple(gen_names), [stub.parse_word(s) for s in relator_strings]
     )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: schreier_transversal(CosetTable(p)), "^transversal requires a closed table$"),
+    (lambda p: subgroup_presentation(p, CosetTable(p)),
+     "^subgroup presentation requires a closed table$"),
+    (lambda p: subgroup_presentation(pres(["x", "y"]), enumerate_cosets(p)),
+     "^presentation does not match the table$"),
+], ids=["open_transversal", "open_presentation", "mismatch"])
+def test_open_or_mismatched_tables_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(pres(["x"], "x^2"))
 
 
 def test_transversal_index_one():

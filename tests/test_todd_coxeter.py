@@ -630,6 +630,14 @@ def test_cap_must_be_positive(sigma):
         CosetTable(p, cap=0)
 
 
+def test_unknown_strategy_and_open_table_are_refused():
+    p = pres(["x"], "x^2")
+    with pytest.raises(ValueError, match="^unknown strategy 'bfs'$"):
+        CosetTable(p, strategy="bfs")
+    with pytest.raises(ValueError, match="^quotient structure requires a closed table$"):
+        quotient_structure(CosetTable(p))
+
+
 def test_verification_survives_optimize_flag():
     # the closed-table, orbit-stabilizer, Reidemeister-Schreier, local
     # action, abelian-invariant and quotient checks are raises, not
